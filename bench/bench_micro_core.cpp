@@ -17,6 +17,7 @@
 #include "common/rng.hpp"
 #include "common/serialize.hpp"
 #include "kernels/gaussian2d.hpp"
+#include "kernels/minmax.hpp"
 #include "kernels/registry.hpp"
 #include "kernels/topk.hpp"
 #include "kernels/sum.hpp"
@@ -228,6 +229,30 @@ void BM_SumKernelConsumeMisaligned(benchmark::State& state) {
                           static_cast<std::int64_t>(chunk.size()));
 }
 BENCHMARK(BM_SumKernelConsumeMisaligned);
+
+void BM_MinMaxKernelConsume(benchmark::State& state) {
+  // Arg 0: random values, where new extremes are rare and almost every
+  // 8-item block passes the vector check untouched. Arg 1: strictly
+  // descending values, the worst case — every block moves the minimum and
+  // pays the check plus the ordered updates.
+  const bool descending = state.range(0) == 1;
+  kernels::MinMaxKernel k;
+  std::vector<double> values(1_MiB / sizeof(double));
+  Rng rng(11);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = descending ? -static_cast<double>(i) : rng.uniform(-1e6, 1e6);
+  }
+  std::vector<std::uint8_t> chunk(values.size() * sizeof(double));
+  std::memcpy(chunk.data(), values.data(), chunk.size());
+  for (auto _ : state) {
+    k.reset();
+    k.consume(chunk);
+    benchmark::DoNotOptimize(k.consumed());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(chunk.size()));
+}
+BENCHMARK(BM_MinMaxKernelConsume)->Arg(0)->Arg(1);
 
 void BM_GaussianKernelConsume(benchmark::State& state) {
   kernels::Gaussian2dKernel k(1024);

@@ -157,7 +157,8 @@ std::vector<ActiveClient::ServerExtent> ActiveClient::server_extents(const pfs::
 }
 
 Result<BufferRef> ActiveClient::assemble_read(const pfs::FileMeta& meta, Bytes offset,
-                                              Bytes length) {
+                                              Bytes length, Bytes& carried) {
+  carried = 0;
   // Refresh size so concurrent extenders are visible, then clamp at EOF.
   auto fresh = pfs_.file_system().meta().lookup_handle(meta.handle);
   if (!fresh.is_ok()) return fresh.status();
@@ -181,14 +182,15 @@ Result<BufferRef> ActiveClient::assemble_read(const pfs::FileMeta& meta, Bytes o
   auto replies = transport_->submit_batch(std::move(envs));
 
   // Single-segment full reads — every chunk of a demoted/local kernel run
-  // whose chunk fits one strip — are the hot case: the server's slab ref
-  // IS the result, no staging buffer and no copy.
+  // whose chunk fits one strip — are the hot case: the server's view of
+  // the object version IS the result, no staging buffer and no copy.
   if (segments.size() == 1) {
     auto r = replies[0].wait();
     if (!r.read.status.is_ok()) {
       if (r.read.status.code() != ErrorCode::kNotFound) return r.read.status;
       return BufferRef::adopt(std::vector<std::uint8_t>(length, 0));  // hole: zeros
     }
+    carried = r.read.data.size();
     if (r.read.data.size() == length) return std::move(r.read.data);
     // Short read (sparse tail): stage with the zero fill below.
     std::vector<std::uint8_t> out(length);
@@ -208,6 +210,7 @@ Result<BufferRef> ActiveClient::assemble_read(const pfs::FileMeta& meta, Bytes o
     }
     // Gather into the contiguous staging buffer: the one owning copy a
     // striped whole-extent read cannot avoid (and the ledger records it).
+    carried += r.read.data.size();
     note_bytes_copied(r.read.data.size(), CopySite::kReadGather);
     std::copy(r.read.data.begin(), r.read.data.end(),
               out.begin() + static_cast<std::ptrdiff_t>(segments[i].logical_offset - offset));
@@ -217,10 +220,11 @@ Result<BufferRef> ActiveClient::assemble_read(const pfs::FileMeta& meta, Bytes o
 
 Result<BufferRef> ActiveClient::read_ref(const pfs::FileMeta& meta, Bytes offset,
                                          Bytes length) {
-  auto data = assemble_read(meta, offset, length);
+  Bytes carried = 0;
+  auto data = assemble_read(meta, offset, length, carried);
   if (data.is_ok()) {
     std::lock_guard lock(mu_);
-    stats_.raw_bytes_read += data.value().size();
+    stats_.raw_bytes_read += carried;
   }
   return data;
 }

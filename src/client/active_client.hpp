@@ -306,8 +306,11 @@ class ActiveClient {
 
   /// EOF-clamped striped read assembled from per-server kRead RPCs (one
   /// batch submission; holes read as zeros). Single-strip extents return
-  /// the server's slab ref without staging. No stats side effects.
-  Result<BufferRef> assemble_read(const pfs::FileMeta& meta, Bytes offset, Bytes length);
+  /// the server's view of the object version without staging. Sets
+  /// `carried` to the bytes the kRead replies held — the zero-filled
+  /// holes are not read from anywhere. No stats side effects.
+  Result<BufferRef> assemble_read(const pfs::FileMeta& meta, Bytes offset, Bytes length,
+                                  Bytes& carried);
 
   /// Run the kernel locally over a file extent (the TS path).
   Result<std::vector<std::uint8_t>> local_kernel(const pfs::FileMeta& meta, Bytes offset,

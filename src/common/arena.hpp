@@ -4,20 +4,23 @@
 // boundary: pfs/data_server copied the object bytes into a fresh vector,
 // rpc::Envelope copied it into the reply, the server queue copied it
 // again, and stream_extent handed kernels yet another copy. The arena
-// inverts that: the PFS data server copies the bytes out of the object
-// store ONCE into an arena slab (it must — the store's vectors can be
-// resized by concurrent writes), and from there a BufferRef flows by
-// reference through rpc → server → kernels → client with zero owning
-// copies.
+// inverts that: the PFS data server keeps each object's bytes as a
+// version in an arena slab, a read hands out a BufferRef view of that
+// version without copying, and the view flows by reference through
+// rpc → server → kernels → client with zero owning copies. A write
+// that would change bytes a view can still see copies the object into
+// a fresh slab instead (copy-on-write; pfs/data_server.hpp).
 //
 //   * BufferArena keeps per-size-class free lists of slabs (power-of-two
-//     classes, 4 KiB minimum) so steady-state extent traffic recycles
-//     buffers instead of hitting the allocator;
-//   * BufferRef is a cheap ref-counted view (shared_ptr + offset/length);
-//     slicing shares the slab. When the last ref drops, the slab returns
-//     to its arena's free list — or is simply freed if the arena (and
-//     the server that owned it) is already gone, so a BufferRef safely
-//     outlives its server;
+//     classes, 4 KiB minimum, up to kMaxPooledSlabBytes) so steady-state
+//     version churn recycles buffers instead of hitting the allocator;
+//     larger slabs are freed on release, so unlinking big objects gives
+//     their memory back;
+//   * BufferRef is a cheap ref-counted view (keepalive + pointer/length);
+//     slicing shares the storage. When the last owner of a slab drops,
+//     the slab returns to its arena's free list — or is simply freed if
+//     the arena (and the server that owned it) is already gone, so a
+//     BufferRef safely outlives its server;
 //   * every remaining owning copy on the data path is accounted into the
 //     process-wide data-bytes-copied ledger (note_bytes_copied), which
 //     backs the `data.bytes_copied` metric the benches assert trends to
@@ -51,7 +54,7 @@ enum class CopySite : std::uint8_t {
   kReadGather,   // multi-segment read reassembly (pfs client / ASC)
   kWaiterFanout, // coalesced active result fanned out to extra waiters
   kKernelStage,  // kernel staged a misaligned extent through scratch
-  kOther,        // uncategorized (default for legacy call sites)
+  kOther,        // uncategorized, incl. bytes a copy-on-write carries over
   kCount,
 };
 
@@ -115,10 +118,18 @@ class BufferRef {
   static BufferRef adopt(std::vector<std::uint8_t> bytes) {
     auto owner =
         std::make_shared<const std::vector<std::uint8_t>>(std::move(bytes));
+    return view(owner, *owner);
+  }
+
+  /// View `bytes`, which `keepalive` keeps alive for as long as any copy
+  /// of the returned ref (or a slice of it) exists. No copy; this is how
+  /// the data server hands out views of an arena-held object version.
+  static BufferRef view(std::shared_ptr<const void> keepalive,
+                        std::span<const std::uint8_t> bytes) {
     BufferRef ref;
-    ref.data_ = owner->data();
-    ref.size_ = owner->size();
-    ref.keepalive_ = std::move(owner);
+    ref.data_ = bytes.data();
+    ref.size_ = bytes.size();
+    ref.keepalive_ = std::move(keepalive);
     return ref;
   }
 
@@ -127,10 +138,7 @@ class BufferRef {
   /// only for synchronous call chains (e.g. handing a client's write
   /// payload down a blocking submit), never for anything queued.
   static BufferRef borrow(std::span<const std::uint8_t> bytes) {
-    BufferRef ref;
-    ref.data_ = bytes.data();
-    ref.size_ = bytes.size();
-    return ref;
+    return view(nullptr, bytes);
   }
 
   std::span<const std::uint8_t> span() const {
@@ -185,7 +193,6 @@ class BufferRef {
   }
 
  private:
-  friend class BufferArena;
   const std::uint8_t* data_ = nullptr;
   std::size_t size_ = 0;
   std::shared_ptr<const void> keepalive_;
@@ -206,13 +213,29 @@ class BufferArena {
  public:
   using Options = BufferArenaOptions;
 
+  /// Largest size class that is pooled. Versions of objects up to 1 MiB
+  /// are the ones overwrites churn, and they recycle. Larger slabs are
+  /// growth steps of big objects or versions dropped by an unlink, which
+  /// nothing reuses soon, so they are freed on release. Pooled memory per
+  /// arena is therefore at most
+  /// max_free_per_class × (2 × kMaxPooledSlabBytes − min_slab_bytes),
+  /// about 64 MiB with the default options.
+  static constexpr std::size_t kMaxPooledSlabBytes = std::size_t{1} << 20;
+
+  /// A checked-out slab: an empty vector whose capacity covers its size
+  /// class. The holder writes into it — never past capacity(), or the
+  /// vector would reallocate outside the arena — and shares it like any
+  /// shared_ptr; when the last owner drops, the slab returns to the free
+  /// list.
+  using Slab = std::shared_ptr<std::vector<std::uint8_t>>;
+
   struct Stats {
     std::uint64_t slabs_created = 0;    // allocator hits
-    std::uint64_t slabs_recycled = 0;   // fills served from the free list
+    std::uint64_t slabs_recycled = 0;   // acquires served from the free list
     std::uint64_t slabs_returned = 0;   // releases that re-entered a list
-    std::uint64_t slabs_in_use = 0;     // gauge: live BufferRef slabs
+    std::uint64_t slabs_in_use = 0;     // gauge: checked-out slabs
     std::uint64_t slabs_free = 0;       // gauge: pooled slabs
-    std::uint64_t bytes_in_use = 0;     // gauge: payload bytes outstanding
+    std::uint64_t bytes_in_use = 0;     // gauge: size-class bytes checked out
     std::uint64_t lock_fast = 0;        // free-list trylock probe
     std::uint64_t lock_contended = 0;
   };
@@ -220,12 +243,14 @@ class BufferArena {
   explicit BufferArena(Options opts = {})
       : state_(std::make_shared<State>(opts)) {}
 
-  /// THE one copy on the hot path: bytes enter a slab here and then flow
-  /// by reference. (This fill is an allocation, not an accounted "extra"
-  /// copy — note_bytes_copied tracks duplications after this point.)
-  BufferRef fill(std::span<const std::uint8_t> bytes) {
+  /// Check out an empty slab with room for `bytes` bytes: a pooled slab
+  /// of the matching size class when one is free, else a fresh
+  /// allocation. Checking out copies nothing; the bytes the holder
+  /// writes are its own business (and, if they duplicate bytes that
+  /// already exist elsewhere, its own ledger charge).
+  Slab acquire(std::size_t bytes) {
     State& st = *state_;
-    const std::size_t cls = size_class(st.opts.min_slab_bytes, bytes.size());
+    const std::size_t cls = size_class(st.opts.min_slab_bytes, bytes);
     std::unique_ptr<std::vector<std::uint8_t>> slab;
     {
       ProbedLock lock(st);
@@ -239,25 +264,16 @@ class BufferArena {
         st.slabs_created++;
       }
       st.slabs_in_use++;
-      st.bytes_in_use += bytes.size();
+      st.bytes_in_use += cls;
     }
     if (!slab) {
       slab = std::make_unique<std::vector<std::uint8_t>>();
       slab->reserve(cls);
     }
-    slab->assign(bytes.begin(), bytes.end());
-
-    const std::size_t n = bytes.size();
     std::weak_ptr<State> weak = state_;
-    std::shared_ptr<std::vector<std::uint8_t>> owner(
-        slab.release(), [weak, cls, n](std::vector<std::uint8_t>* v) {
-          release_slab(weak, cls, n, v);
-        });
-    BufferRef ref;
-    ref.data_ = owner->data();
-    ref.size_ = n;
-    ref.keepalive_ = std::move(owner);
-    return ref;
+    return Slab(slab.release(), [weak, cls](std::vector<std::uint8_t>* v) {
+      release_slab(weak, cls, v);
+    });
   }
 
   Stats stats() const {
@@ -314,13 +330,14 @@ class BufferArena {
   }
 
   static void release_slab(const std::weak_ptr<State>& weak, std::size_t cls,
-                           std::size_t n, std::vector<std::uint8_t>* v) {
+                           std::vector<std::uint8_t>* v) {
     std::unique_ptr<std::vector<std::uint8_t>> slab(v);
     auto st = weak.lock();
     if (!st) return;  // arena/server already gone: plain free
     ProbedLock lock(*st);
     st->slabs_in_use--;
-    st->bytes_in_use -= n;
+    st->bytes_in_use -= cls;
+    if (cls > kMaxPooledSlabBytes) return;
     auto& pool = st->free[cls];
     if (pool.size() < st->opts.max_free_per_class) {
       slab->clear();

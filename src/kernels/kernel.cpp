@@ -33,10 +33,11 @@ void ItemwiseKernel::consume(std::span<const std::uint8_t> chunk) {
   const std::size_t whole = chunk.size() / sizeof(double);
   if (whole > 0) {
     if (reinterpret_cast<std::uintptr_t>(chunk.data()) % alignof(double) == 0) {
-      // Aligned input — every arena slab is (vectors are allocator-aligned,
-      // and stream_extent keeps chunk boundaries on item multiples) — is
-      // consumed IN PLACE: the slab the data server filled is the very
-      // memory process_items() reads. No staging, no ledger charge.
+      // Aligned input — every item-aligned extent of an object version is
+      // (version slabs are allocator-aligned, and stream_extent keeps chunk
+      // boundaries on item multiples) — is consumed IN PLACE: the data
+      // server's version slab is the very memory process_items() reads.
+      // No staging, no ledger charge.
       process_items(
           std::span(reinterpret_cast<const double*>(chunk.data()), whole));
     } else {

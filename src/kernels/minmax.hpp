@@ -3,6 +3,15 @@
 // Two comparisons per item; with SUM and MEAN/STDDEV this covers the cheap
 // statistics family active storage was originally proposed for (Riedel's
 // active-disk data-mining workloads).
+//
+// The result is defined by the ordered loop `if (v < min) min = v;
+// if (v > max) max = v;` — a NaN first item sticks, later NaNs are
+// ignored, and of two equal values (+0/-0) the first one stays. Most
+// blocks of input cannot change either extreme, so process_items checks
+// each block of 8 with vector-friendly compares first and runs the
+// ordered updates only on a block holding a value strictly beyond the
+// current min or max (NaN never is). Skipping the ordered updates on any
+// other block changes nothing, so the result stays bit-exact.
 #pragma once
 
 #include "kernels/kernel.hpp"
@@ -34,17 +43,7 @@ class MinMaxKernel final : public ItemwiseKernel {
     min_ = 0.0;
     max_ = 0.0;
   }
-  void process_items(std::span<const double> items) override {
-    for (double v : items) {
-      if (count_ == 0) {
-        min_ = max_ = v;
-      } else {
-        if (v < min_) min_ = v;
-        if (v > max_) max_ = v;
-      }
-      ++count_;
-    }
-  }
+  void process_items(std::span<const double> items) override;
 
  private:
   std::uint64_t count_ = 0;

@@ -34,7 +34,7 @@ struct StreamResult {
 /// Produce the chunk at [pos, pos+len); may return short or empty at the
 /// end of the data. May throw (the server's fault-injection path does);
 /// exceptions propagate to the caller. Returns a ref-counted BufferRef so
-/// the arena slab the PFS data server filled flows straight into
+/// the PFS data server's view of the object version flows straight into
 /// Kernel::consume without an owning copy (locally produced bytes cross
 /// via BufferRef::adopt).
 using ChunkReader = std::function<Result<BufferRef>(Bytes pos, Bytes len)>;

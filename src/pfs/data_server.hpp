@@ -5,8 +5,18 @@
 // in-memory; I/O counters feed the contention estimator and the metrics
 // layer. Thread-safe: the real runtime hits a data server from several
 // compute-node client threads at once.
+//
+// An object's bytes live in a *version*: one slab from the server's
+// BufferArena. A read returns a BufferRef view of the current version —
+// no copy — and the view pins that version. A write changes the version
+// in place only when no view of it is outstanding and the result fits
+// the slab; otherwise it copies on write into a fresh slab and swaps
+// that in, so every view keeps seeing the bytes it was handed until it
+// drops. The old slab then returns to the pool, or to the allocator
+// when it is above the arena's pooled size cap (as big objects are).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -46,22 +56,27 @@ class DataServer {
   void set_fault_injector(std::shared_ptr<fault::FaultInjector> fi);
 
   /// Write `data` at `offset` within the object for `fh`, growing it
-  /// (zero-filled) as needed.
+  /// (zero-filled) as needed. In place when no view of the current
+  /// version is outstanding and the result fits its slab; otherwise a
+  /// copy-on-write into a fresh slab, whose carried-over old bytes are
+  /// charged to the ledger's `other` site (a whole-object overwrite
+  /// carries none).
   Status write_object(FileHandle fh, Bytes offset, std::span<const std::uint8_t> data);
 
   /// Read up to `length` bytes at `offset`; reads past the object end are
   /// truncated (short read), reads entirely past it return empty.
   ///
-  /// read_object_ref is the hot path: the bytes are copied ONCE out of
-  /// the object store (whose vectors writes may resize) into an arena
-  /// slab, and the returned BufferRef flows by reference through
-  /// rpc → server → kernels → client. read_object is the legacy owning
-  /// form for cold callers; it materializes a vector from the same slab
-  /// (and that extra copy lands in the data-bytes-copied ledger).
+  /// read_object_ref is the hot path: the returned BufferRef is a view of
+  /// the object's current version — nothing is copied — and flows by
+  /// reference through rpc → server → kernels → client; later writes
+  /// never change the bytes it shows. read_object is the legacy owning
+  /// form for cold callers; it materializes a vector from the view (and
+  /// that copy lands in the data-bytes-copied ledger).
   Result<BufferRef> read_object_ref(FileHandle fh, Bytes offset, Bytes length) const;
   Result<std::vector<std::uint8_t>> read_object(FileHandle fh, Bytes offset, Bytes length) const;
 
-  /// Slab/recycle counters for this server's extent-buffer arena.
+  /// Slab/recycle counters for this server's arena: one slab per object
+  /// version (live, or still pinned by a view).
   BufferArena::Stats arena_stats() const { return arena_.stats(); }
 
   /// Current size of the object (0 if absent).
@@ -83,10 +98,20 @@ class DataServer {
   Bytes bytes_written() const;
 
  private:
+  /// One version of an object's bytes. `views` counts the read_object_ref
+  /// results still pinning it; each drops with a release decrement, and
+  /// the writer's in-place check is the acquire load that pairs with it,
+  /// so a reader's last access happens-before any in-place write.
+  struct Version {
+    BufferArena::Slab bytes;
+    std::atomic<std::uint64_t> views{0};
+  };
+  struct View;
+
   const ServerId id_;
   mutable std::mutex mu_;
-  mutable BufferArena arena_;  // extent-buffer slabs handed out by reads
-  std::unordered_map<FileHandle, std::vector<std::uint8_t>> objects_;
+  BufferArena arena_;  // version slabs
+  std::unordered_map<FileHandle, std::shared_ptr<Version>> objects_;
   mutable Bytes bytes_read_ = 0;  // served-bytes counter bumped on (const) reads
   Bytes bytes_written_ = 0;
   mutable std::size_t fail_reads_ = 0;       // remaining injected read failures

@@ -44,7 +44,7 @@ struct ReadRequest {
 };
 
 /// Reply payload for OpKind::kRead. `data` is a ref-counted view of the
-/// arena slab the PFS data server filled — copying the reply (retry
+/// PFS data server's object version — copying the reply (retry
 /// layers, multi-waiter delivery) shares the slab instead of duplicating
 /// the extent. TokenBucket byte charging reads data.size() exactly once
 /// per completed RPC regardless of how many refs exist.

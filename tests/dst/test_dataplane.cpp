@@ -75,8 +75,9 @@ TEST(DataPlaneDst, RingPipelineFingerprintIsDeterministic) {
 
 // ----------------------------------------------------------------- arena
 
-// Serialized arena traffic: one thread, a fixed fill/slice/release
-// pattern against a data server's read path. Slab accounting and the
+// Serialized arena traffic: one thread, a fixed read/slice/release
+// pattern against a data server's read path. Every read is a view of the
+// object's one version (no slab per read), so slab accounting and the
 // copy ledger must reproduce exactly.
 std::string run_arena_scenario() {
   std::ostringstream fp;
@@ -92,8 +93,8 @@ std::string run_arena_scenario() {
   for (int round = 0; round < 8; ++round) {
     auto ref = server.read_object_ref(1, 0, payload.size());
     EXPECT_TRUE(ref.is_ok());
-    // Hold every other ref; slice the rest (shared, no copy) and let the
-    // parent drop so its slab recycles.
+    // Hold every other view; slice the rest (shared, no copy) and let
+    // the parent drop, releasing its pin on the version.
     if (round % 2 == 0) {
       held.push_back(std::move(ref).value());
     } else {

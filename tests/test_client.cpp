@@ -146,6 +146,33 @@ TEST(ActiveClient, NormalReadPath) {
   EXPECT_EQ(fx.cluster->asc().stats().raw_bytes_read, 800u);
 }
 
+TEST(ActiveClient, ReadRefCountsCarriedBytesNotHoles) {
+  // 2 nodes, 64 KiB strips: strips 0 and 2 land on node 0, strip 1 on
+  // node 1 stays a hole (node 1 never gets an object). A 192 KiB read_ref
+  // zero-fills the hole but reads only 128 KiB.
+  ClusterConfig cfg;
+  cfg.scheme = SchemeKind::kDosas;
+  cfg.storage_nodes = 2;
+  cfg.strip_size = 64_KiB;
+  cfg.network_rate = mb_per_sec(118.0);  // virtual link: counts charged bytes
+  Cluster cluster(cfg);
+  auto meta = cluster.pfs_client().create("/holey");
+  ASSERT_TRUE(meta.is_ok());
+  const std::vector<std::uint8_t> strip(64_KiB, 0x5A);
+  ASSERT_TRUE(cluster.pfs_client().write(meta.value(), 0, strip).is_ok());
+  auto written = cluster.pfs_client().write(meta.value(), 128_KiB, strip);
+  ASSERT_TRUE(written.is_ok());
+  ASSERT_EQ(written.value().size, 192_KiB);
+  ASSERT_FALSE(cluster.fs().data_server(1).has_object(meta.value().handle));
+
+  auto data = cluster.asc().read_ref(written.value(), 0, 192_KiB);
+  ASSERT_TRUE(data.is_ok());
+  ASSERT_EQ(data.value().size(), 192_KiB);
+  EXPECT_EQ(data.value().span()[64_KiB], 0u);  // the hole reads as zeros
+  EXPECT_EQ(cluster.asc().stats().raw_bytes_read, 128_KiB);
+  EXPECT_EQ(cluster.asc().transport_stats().bytes_charged, 128_KiB);
+}
+
 // ---------------------------------------------------------------- striping
 
 TEST(ActiveClient, StripedFanoutMergesSum) {

@@ -5,7 +5,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <numeric>
+#include <string>
 
 #include "common/rng.hpp"
 #include "kernels/byte_grep.hpp"
@@ -273,6 +275,119 @@ TEST(MinMaxKernel, MergeMatchesSequential) {
   right.consume(std::span(bytes.data() + 8 * 700, bytes.size() - 8 * 700));
   ASSERT_TRUE(left.merge(right.finalize()).is_ok());
   EXPECT_EQ(left.finalize(), seq.finalize());
+}
+
+/// The ordered loop that defines MinMaxKernel's result, as a reference.
+MinMaxResult serial_minmax(const std::vector<double>& values) {
+  MinMaxResult r;
+  for (double v : values) {
+    if (r.count == 0) {
+      r.min = r.max = v;
+    } else {
+      if (v < r.min) r.min = v;
+      if (v > r.max) r.max = v;
+    }
+    ++r.count;
+  }
+  return r;
+}
+
+std::uint64_t bits(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+/// The kernel's result for `values`, fed whole, in ragged chunks, and
+/// across a checkpoint/restore, must equal the ordered loop bit for bit.
+void expect_bit_exact(const std::vector<double>& values, const std::string& label) {
+  SCOPED_TRACE(label);
+  const MinMaxResult want = serial_minmax(values);
+  const auto bytes = doubles_to_bytes(values);
+  auto check = [&](const std::vector<std::uint8_t>& encoded, const char* how) {
+    auto got = MinMaxResult::decode(encoded);
+    ASSERT_TRUE(got.is_ok()) << how;
+    EXPECT_EQ(got.value().count, want.count) << how;
+    EXPECT_EQ(bits(got.value().min), bits(want.min)) << how << " min " << got.value().min;
+    EXPECT_EQ(bits(got.value().max), bits(want.max)) << how << " max " << got.value().max;
+  };
+
+  MinMaxKernel whole;
+  whole.reset();
+  whole.consume(bytes);
+  check(whole.finalize(), "whole");
+
+  MinMaxKernel ragged;
+  ragged.reset();
+  Rng rng(values.size());
+  consume_ragged(ragged, bytes, rng);
+  check(ragged.finalize(), "ragged");
+
+  // Interrupt at an unaligned byte offset, resume on a fresh instance.
+  const std::size_t cut = bytes.size() / 2 + 3;
+  MinMaxKernel first;
+  first.reset();
+  first.consume(std::span(bytes.data(), cut));
+  MinMaxKernel resumed;
+  ASSERT_TRUE(resumed.restore(first.checkpoint()).is_ok());
+  resumed.consume(std::span(bytes.data() + cut, bytes.size() - cut));
+  check(resumed.finalize(), "checkpoint/restore");
+}
+
+TEST(MinMaxKernel, BlockCheckedLoopIsBitExactWithOrderedLoop) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::size_t n = 1000;  // many 8-item blocks plus a remainder
+
+  expect_bit_exact(random_doubles(n, 31), "random");
+
+  auto nan_first = random_doubles(n, 32);
+  nan_first[0] = nan;
+  expect_bit_exact(nan_first, "NaN first");
+
+  auto nan_later = random_doubles(n, 33);
+  for (std::size_t i = 5; i < n; i += 97) nan_later[i] = nan;
+  // A NaN first in its block, then new extremes in the same lane of it;
+  // the other lane's values are well inside the range.
+  nan_later[0] = -500.0;
+  nan_later[1] = 500.0;
+  const double block[] = {nan, 0.0, -1000.0, 0.0, 1000.0, 0.0, 0.0, 0.0};
+  std::copy(std::begin(block), std::end(block), nan_later.begin() + 16);
+  expect_bit_exact(nan_later, "NaN later");
+
+  // +0/-0 compare equal, so whichever zero comes first must stay — also
+  // when the other sign sits in the same block or an earlier lane.
+  for (const bool negative_first : {false, true}) {
+    std::vector<double> zeros(n);
+    for (std::size_t i = 0; i < n; ++i) zeros[i] = static_cast<double>(i % 13 + 1);
+    const double a = negative_first ? -0.0 : 0.0;
+    zeros[17] = a;
+    zeros[18] = -a;
+    zeros[20] = -a;
+    zeros[400] = -a;
+    expect_bit_exact(zeros, negative_first ? "-0 before +0" : "+0 before -0");
+    for (auto& v : zeros) v = -v;  // now zeros are the max
+    expect_bit_exact(zeros, negative_first ? "max: +0 before -0" : "max: -0 before +0");
+  }
+
+  auto infs = random_doubles(n, 34);
+  infs[3] = inf;
+  infs[500] = -inf;
+  infs[501] = inf;
+  infs[900] = -inf;
+  expect_bit_exact(infs, "+-inf");
+
+  std::vector<double> descending(n), ascending(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    descending[i] = -static_cast<double>(i);
+    ascending[i] = static_cast<double>(i) * 0.5;
+  }
+  expect_bit_exact(descending, "strictly descending");
+  expect_bit_exact(ascending, "strictly ascending");
+
+  for (std::size_t len : {1u, 7u, 8u, 9u, 16u, 17u}) {
+    expect_bit_exact(random_doubles(len, 35 + len), "short " + std::to_string(len));
+  }
 }
 
 // ---------------------------------------------------------------- meanstddev

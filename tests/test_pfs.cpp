@@ -444,8 +444,11 @@ TEST(Client, SparseWriteReadsZeros) {
 }
 
 // Property sweep: round-trips across server counts and strip sizes.
+// gtest names each case by dumping the struct's bytes, so the struct
+// must have no padding: uninitialised padding bytes would give the
+// cases a different name on every run.
 struct ClientCase {
-  std::uint32_t servers;
+  std::uint64_t servers;
   Bytes strip;
   Bytes file_size;
 };
@@ -454,7 +457,7 @@ class ClientProperty : public ::testing::TestWithParam<ClientCase> {};
 
 TEST_P(ClientProperty, RandomExtentsRoundTrip) {
   const auto p = GetParam();
-  FileSystem fs(p.servers, p.strip);
+  FileSystem fs(static_cast<std::uint32_t>(p.servers), p.strip);
   Client client(fs);
   const auto data = pattern_bytes(p.file_size, p.servers * 131 + p.strip);
   auto meta = write_file(client, "/f", data);

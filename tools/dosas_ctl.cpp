@@ -372,8 +372,10 @@ int cmd_runtime(const Args& args) {
       static_cast<unsigned long long>(tst.inflight_hwm),
       tst.active_latency_p50_us, tst.active_latency_p99_us);
   // Data-plane ledger: the zero-copy story's receipts. Owning copies by
-  // charge site name the layer that duplicated bytes; arena totals show
-  // slab recycling doing the allocation work; dispatch-ring CAS retries
+  // charge site name the layer that duplicated bytes (reads copy nothing;
+  // `other` is copy-on-write carry-over); the data servers' version slabs
+  // show how many object versions writes created and how many are live
+  // (current, or pinned by a reader's view); dispatch-ring CAS retries
   // show what the lock-free queues absorbed instead of a mutex.
   {
     std::printf("data plane: %llu byte(s) copied",
@@ -403,7 +405,7 @@ int cmd_runtime(const Args& args) {
       rings.pop_cas_retries += r.pop_cas_retries;
     }
     std::printf(
-        "\n  arenas: %llu slab(s) created, %llu recycled, %llu in use "
+        "\n  object versions: %llu slab(s) created, %llu recycled, %llu live "
         "(%llu byte(s));  dispatch rings: %llu push / %llu pop CAS retries\n",
         static_cast<unsigned long long>(arena.slabs_created),
         static_cast<unsigned long long>(arena.slabs_recycled),
