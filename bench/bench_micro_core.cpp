@@ -1,6 +1,6 @@
 // Micro-benchmarks of the substrate hot paths: DES event queue, fluid
 // resource membership churn, PFS layout math and read path, checkpoint
-// codec, channel throughput, and kernel consume loops.
+// codec, ring throughput, and kernel consume loops.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -12,7 +12,6 @@
 
 #include "bench_common.hpp"
 #include "common/arena.hpp"
-#include "common/channel.hpp"
 #include "common/ring.hpp"
 #include "common/rng.hpp"
 #include "common/serialize.hpp"
@@ -116,22 +115,7 @@ void BM_CheckpointRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_CheckpointRoundTrip)->Arg(1024)->Arg(65536);
 
-void BM_ChannelThroughput(benchmark::State& state) {
-  for (auto _ : state) {
-    Channel<int> ch;
-    for (int i = 0; i < 1000; ++i) ch.send(i);
-    int sum = 0;
-    std::optional<int> v;
-    while (ch.poll(v) == QueuePoll::kItem) sum += *v;
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_ChannelThroughput);
-
 void BM_RingThroughput(benchmark::State& state) {
-  // Same shape as BM_ChannelThroughput: the delta between the two rows is
-  // the mutex-vs-CAS cost of a queue transfer on the uncontended path.
   for (auto _ : state) {
     Ring<int> ring(1024);
     for (int i = 0; i < 1000; ++i) ring.try_send(i);

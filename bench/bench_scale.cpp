@@ -2,11 +2,10 @@
 // StorageServer instances + thousands of open-loop clients per point, all
 // under one VirtualClock, with kernel/client pacing and per-node links at
 // the paper's calibrated rates. Emits BENCH_scale.json (dosas-bench-v1):
-// throughput, latency quantiles, and demotion rate vs cluster size.
-//
-// DOSAS_SCALE_SMOKE=1 shrinks the sweep for CI tier-1 smoke runs.
+// throughput, latency quantiles, and demotion rate vs cluster size. CI
+// runs the full sweep and gates its fingerprints exactly against
+// bench/trajectory/BENCH_scale.json (tools/check_bench_json.sh).
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -50,16 +49,13 @@ scale::ScaleScenario sweep_point(std::uint32_t nodes) {
 }
 
 int run() {
-  const bool smoke = std::getenv("DOSAS_SCALE_SMOKE") != nullptr;
   bench::banner("Scale harness sweep",
-                smoke ? "CI smoke: small-N deterministic scale scenario"
-                      : "throughput / latency / demotion rate vs cluster size at "
-                        "paper-calibrated rates (100x the testbed at n=200)");
-  const std::vector<std::uint32_t> sizes =
-      smoke ? std::vector<std::uint32_t>{8, 16} : std::vector<std::uint32_t>{50, 100, 200};
+                "throughput / latency / demotion rate vs cluster size at "
+                "paper-calibrated rates (100x the testbed at n=200)");
+  const std::vector<std::uint32_t> sizes = {50, 100, 200};
 
   bench::BenchJson out("scale");
-  out.config("mode", smoke ? std::string("smoke") : std::string("full"));
+  out.config("mode", "full");
   out.config("scheme", "dosas");
   out.config("file_kib", 128.0);
   out.config("chunk_kib", 32.0);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <map>
 #include <new>
 #include <optional>
@@ -51,6 +52,45 @@ kernels::ProgressFn compute_pacer(const std::shared_ptr<const server::RateTable>
   };
 }
 
+/// What one cause of a local finish counts and emits (the table behind
+/// ActiveClient::finish_leg_locally). Names and salts are part of the
+/// observable surface: dashboards and the DST fingerprints key on them.
+struct LocalCauseInfo {
+  std::uint64_t ActiveClient::Stats::*counter;  ///< bumped when the finish starts
+  bool local_run;  ///< counts as a local kernel run at start (a hedge twin: only if it wins)
+  const char* metric;          ///< counted when the finish starts (null: none)
+  const char* compute_metric;  ///< client compute-time histogram (null: none)
+  obs::FlightEventKind flight;
+  const char* flight_msg;
+  const char* instant;  ///< trace instant on leg.ctx.child(salt) (null: none)
+  const char* salt;
+  bool reads_under_salt;  ///< chunk reads hang off the salted span, not the leg's
+};
+
+/// Indexed by ActiveClient::LocalCause.
+constexpr LocalCauseInfo kLocalCauses[] = {
+    // kRejected — paper §III-C case 1: demoted at arrival, full local run.
+    {&ActiveClient::Stats::demoted, true, "client.demoted", "client.demoted_compute_us",
+     obs::FlightEventKind::kDemotion, "rejected at admission: finishing locally",
+     "client.demote", "client_demote", false},
+    // kInterrupted — paper §III-C case 2: resume from the shipped checkpoint.
+    {&ActiveClient::Stats::resumed_local, true, "client.resumed", "client.resume_compute_us",
+     obs::FlightEventKind::kResume, "restoring checkpoint, finishing locally", "client.resume",
+     "client_resume", false},
+    // kFailed — a transient server-side failure retried as normal I/O.
+    {&ActiveClient::Stats::failed_remote_retries, true, nullptr, nullptr,
+     obs::FlightEventKind::kStateTransition, "remote active I/O failed: local fallback",
+     nullptr, nullptr, false},
+    // kCircuitOpen — the node's active runtime stopped answering.
+    {&ActiveClient::Stats::node_down_demotes, true, "client.node_down_demotes", nullptr,
+     obs::FlightEventKind::kDemotion, "circuit open: serving via normal I/O",
+     "client.node_down_demote", "node_down", false},
+    // kHedge — the local twin raced against a straggling leg.
+    {&ActiveClient::Stats::hedges_fired, false, "client.hedges_fired", nullptr,
+     obs::FlightEventKind::kHedge, "leg past hedge delay: racing a local twin", "client.hedge",
+     "hedge", true},
+};
+
 }  // namespace
 
 ActiveClient::ActiveClient(pfs::Client& pfs, const kernels::Registry& registry,
@@ -66,27 +106,15 @@ ActiveClient::ActiveClient(pfs::Client& pfs, const kernels::Registry& registry,
   options.retry_seed = config_.retry_seed;
   options.circuit_threshold = config_.circuit_threshold;
   options.faults = config_.faults;
-  options.network = config_.network;
-  options.network_per_node = config_.network_per_node;
+  options.links = config_.links;
   auto chain = rpc::make_chain(servers_, options);
   transport_ = std::move(chain.head);
   breaker_ = std::move(chain.breaker);
 }
 
-bool ActiveClient::circuit_open(pfs::ServerId server) {
-  return breaker_ != nullptr && breaker_->should_short_circuit(server);
-}
-
-void ActiveClient::note_timed_out(const server::ActiveIoResponse& resp) {
-  if (resp.outcome == server::ActiveOutcome::kFailed &&
-      resp.status.code() == ErrorCode::kTimedOut) {
-    std::lock_guard lock(mu_);
-    ++stats_.timed_out;
-  }
-}
-
 rpc::Envelope ActiveClient::active_envelope(const pfs::FileMeta& meta, const ServerExtent& ext,
-                                            const std::string& operation) const {
+                                            const std::string& operation,
+                                            const obs::TraceContext& trace) const {
   rpc::Envelope env;
   env.target = ext.server;
   env.kind = rpc::OpKind::kActiveIo;
@@ -95,44 +123,8 @@ rpc::Envelope ActiveClient::active_envelope(const pfs::FileMeta& meta, const Ser
   env.active.length = ext.length;
   env.active.operation = operation;
   env.deadline = config_.request_timeout;
+  env.trace = trace;
   return env;
-}
-
-Result<BufferRef> ActiveClient::remote_read(pfs::ServerId target,
-                                            pfs::FileHandle handle,
-                                            Bytes object_offset, Bytes length,
-                                            const obs::TraceContext& ctx) {
-  rpc::Envelope env;
-  env.target = target;
-  env.kind = rpc::OpKind::kRead;
-  env.read.handle = handle;
-  env.read.object_offset = object_offset;
-  env.read.length = length;
-  env.trace = ctx;  // invalid: the transport starts a fresh root trace
-  auto reply = transport_->submit(std::move(env)).wait();
-  if (!reply.read.status.is_ok()) return reply.read.status;
-  return std::move(reply.read.data);
-}
-
-Result<std::vector<std::uint8_t>> ActiveClient::serve_extent_locally(
-    const pfs::FileMeta& meta, const ServerExtent& ext, const std::string& operation,
-    const obs::TraceContext& ctx) {
-  {
-    std::lock_guard lock(mu_);
-    ++stats_.node_down_demotes;
-    ++stats_.local_kernel_runs;
-  }
-  if (obs::metrics_enabled()) obs::count("client.node_down_demotes");
-  obs::flight_record(obs::FlightEventKind::kDemotion, ctx.trace_id,
-                     static_cast<std::uint32_t>(ext.server), 0,
-                     "circuit open: serving via normal I/O");
-  if (obs::tracing_enabled() && ctx.valid()) {
-    obs::Tracer::global().instant("client.node_down_demote", "client", ctx.child("node_down"));
-  }
-  auto kernel = registry_.create(operation);
-  if (!kernel.is_ok()) return kernel.status();
-  kernel.value()->reset();
-  return finish_locally(meta, ext, ext.object_offset, *kernel.value(), ctx);
 }
 
 std::vector<ActiveClient::ServerExtent> ActiveClient::server_extents(const pfs::FileMeta& meta,
@@ -247,6 +239,20 @@ Result<std::vector<std::uint8_t>> ActiveClient::read_ex(const pfs::FileMeta& met
 ActiveClient::PendingReadEx ActiveClient::read_ex_async(const pfs::FileMeta& meta, Bytes offset,
                                                         Bytes length,
                                                         const std::string& operation) {
+  PendingReadEx pending = plan_read_ex(meta, offset, length, operation);
+  // Submit every extent's active RPC before waiting on any: a striped
+  // request keeps all its storage nodes busy concurrently, and N pending
+  // read_ex_async() calls pipeline across the cluster.
+  for (auto& leg : pending.legs_) {
+    if (leg.send) attach(leg, transport_->submit(active_envelope(meta, leg.ext, operation, leg.ctx)));
+  }
+  order_legs(pending);
+  return pending;
+}
+
+ActiveClient::PendingReadEx ActiveClient::plan_read_ex(const pfs::FileMeta& meta, Bytes offset,
+                                                       Bytes length,
+                                                       const std::string& operation) {
   PendingReadEx pending;
   pending.client_ = this;
   pending.meta_ = meta;
@@ -297,8 +303,7 @@ ActiveClient::PendingReadEx ActiveClient::read_ex_async(const pfs::FileMeta& met
   // must flow in logical file order: one local pass (the TS path).
   const bool aligned = meta.striping.strip_size % sizeof(double) == 0 &&
                        offset % sizeof(double) == 0;
-  if (extents.size() > 1 &&
-      !(config_.allow_striped_fanout && probe.value()->mergeable() && aligned)) {
+  if (extents.size() > 1 && !(probe.value()->mergeable() && aligned)) {
     pending.mode_ = PendingReadEx::Mode::kLocalPass;
     pending.offset_ = offset;
     pending.length_ = length;
@@ -310,9 +315,6 @@ ActiveClient::PendingReadEx ActiveClient::read_ex_async(const pfs::FileMeta& met
     ++stats_.striped_fanouts;
   }
 
-  // Submit every extent's active RPC before waiting on any: a striped
-  // request keeps all its storage nodes busy concurrently, and N pending
-  // read_ex_async() calls pipeline across the cluster.
   pending.mode_ = PendingReadEx::Mode::kRemote;
   pending.fanout_ = extents.size() > 1;
   pending.hedge_budget_ = config_.hedge_reads ? config_.hedge_max_per_read : 0;
@@ -321,22 +323,32 @@ ActiveClient::PendingReadEx ActiveClient::read_ex_async(const pfs::FileMeta& met
     PendingReadEx::Leg leg;
     leg.ext = ext;
     leg.ctx = pending.ctx_.child("s" + std::to_string(ext.server));
-    if (ext.server < servers_.size() && !circuit_open(ext.server)) {
-      auto env = active_envelope(meta, ext, operation);
-      env.trace = leg.ctx;
-      leg.reply = transport_->submit(std::move(env));
-      if (config_.hedge_reads && leg.reply.valid()) {
-        const Seconds delay = hedge_delay_for(ext.server);
-        if (delay > 0) leg.hedge_at = clock().now() + delay;
-      }
-    }
+    // An open circuit (too many consecutive kUnavailable, and this request
+    // is not a re-probe) skips the doomed RPC: the leg finishes locally at
+    // wait().
+    leg.send = ext.server < servers_.size() &&
+               !(breaker_ != nullptr && breaker_->should_short_circuit(ext.server));
     pending.legs_.push_back(std::move(leg));
   }
+  return pending;
+}
 
-  // Resolution order: fastest predicted node first (submission above stays
-  // in stripe order, so per-node arrival order is unchanged). The predicted
-  // straggler is then waited on LAST, with the whole hedge budget and the
-  // fast legs' results already in hand.
+void ActiveClient::attach(PendingReadEx::Leg& leg, rpc::PendingReply reply) {
+  leg.reply = std::move(reply);
+  if (!config_.hedge_reads || !leg.reply.valid()) return;
+  // The floor keeps a node whose history is microseconds from hedging on
+  // scheduling noise; a cold node hedges after the cold delay (0: never).
+  const auto nl = transport_->node_latency(static_cast<std::uint32_t>(leg.ext.server));
+  const Seconds delay =
+      nl.samples < config_.hedge_min_samples
+          ? config_.hedge_cold_delay
+          : std::max(config_.hedge_min_delay, config_.hedge_p99_multiplier * nl.p99_us * 1e-6);
+  if (delay > 0) leg.hedge_at = clock().now() + delay;
+}
+
+void ActiveClient::order_legs(PendingReadEx& pending) const {
+  // Submission stays in stripe order, so per-node arrival order is
+  // unchanged; only the resolution order moves.
   pending.wait_order_.resize(pending.legs_.size());
   for (std::size_t i = 0; i < pending.wait_order_.size(); ++i) pending.wait_order_[i] = i;
   if (config_.hedge_reads && pending.legs_.size() > 1) {
@@ -349,7 +361,6 @@ ActiveClient::PendingReadEx ActiveClient::read_ex_async(const pfs::FileMeta& met
     std::stable_sort(pending.wait_order_.begin(), pending.wait_order_.end(),
                      [&](std::size_t a, std::size_t b) { return predicted[a] < predicted[b]; });
   }
-  return pending;
 }
 
 ActiveClient::PendingReadEx::~PendingReadEx() {
@@ -415,7 +426,7 @@ Result<std::vector<std::uint8_t>> ActiveClient::PendingReadEx::resolve() {
       break;
   }
 
-  if (!fanout_) return client_->resolve_leg(meta_, legs_[0], operation_, &hedge_budget_);
+  if (!fanout_) return client_->resolve_leg(meta_, legs_[0], operation_, hedge_budget_);
 
   auto master = client_->registry_.create(operation_);
   if (!master.is_ok()) {
@@ -429,7 +440,7 @@ Result<std::vector<std::uint8_t>> ActiveClient::PendingReadEx::resolve() {
   // sequential path.
   std::vector<std::optional<Result<std::vector<std::uint8_t>>>> partials(legs_.size());
   for (std::size_t idx : wait_order_) {
-    auto partial = client_->resolve_leg(meta_, legs_[idx], operation_, &hedge_budget_);
+    auto partial = client_->resolve_leg(meta_, legs_[idx], operation_, hedge_budget_);
     if (!partial.is_ok()) {
       // One failed leg dooms the whole read: withdraw every sibling still
       // in flight BEFORE propagating, or the storage nodes keep burning
@@ -449,7 +460,7 @@ Result<std::vector<std::uint8_t>> ActiveClient::PendingReadEx::resolve() {
 Result<std::vector<std::uint8_t>> ActiveClient::resolve_leg(const pfs::FileMeta& meta,
                                                             PendingReadEx::Leg& leg,
                                                             const std::string& operation,
-                                                            std::size_t* hedge_budget) {
+                                                            std::size_t& hedge_budget) {
   if (leg.ext.server >= servers_.size()) {
     return error(ErrorCode::kInternal, "no storage server for data server id " +
                                            std::to_string(leg.ext.server));
@@ -459,183 +470,112 @@ Result<std::vector<std::uint8_t>> ActiveClient::resolve_leg(const pfs::FileMeta&
   // + local kernel (the node's data path survives an active-runtime
   // crash).
   if (!leg.reply.valid()) {
-    return serve_extent_locally(meta, leg.ext, operation, leg.ctx);
+    return finish_leg_locally(meta, leg, operation, LocalCause::kCircuitOpen,
+                              leg.ext.object_offset);
   }
   // Hedge timer: give the RPC until its p99-derived deadline, then race a
   // local twin against it instead of waiting out the straggler.
-  if (leg.hedge_at > 0 && hedge_budget != nullptr && *hedge_budget > 0 &&
-      !leg.reply.wait_until_ready(leg.hedge_at)) {
-    --*hedge_budget;
-    return hedge_leg(meta, leg, operation);
-  }
-  auto reply = leg.reply.wait();
-  note_timed_out(reply.active);
-  return resolve_response(meta, leg.ext, operation, std::move(reply.active),
-                          /*allow_resubmit=*/true, leg.ctx);
-}
-
-Seconds ActiveClient::hedge_delay_for(pfs::ServerId server) const {
-  if (!config_.hedge_reads) return 0;
-  const auto nl = transport_->node_latency(static_cast<std::uint32_t>(server));
-  if (nl.samples < config_.hedge_min_samples) return config_.hedge_cold_delay;
-  return std::max(config_.hedge_min_delay, config_.hedge_p99_multiplier * nl.p99_us * 1e-6);
-}
-
-Result<std::vector<std::uint8_t>> ActiveClient::hedge_leg(const pfs::FileMeta& meta,
-                                                          PendingReadEx::Leg& leg,
-                                                          const std::string& operation) {
-  {
-    std::lock_guard lock(mu_);
-    ++stats_.hedges_fired;
-  }
-  if (obs::metrics_enabled()) obs::count("client.hedges_fired");
-  obs::flight_record(obs::FlightEventKind::kHedge, leg.ctx.trace_id,
-                     static_cast<std::uint32_t>(leg.ext.server), 0,
-                     "leg past hedge delay: racing a local twin");
-  // The hedge branch of the causal tree: the twin's chunk reads hang off
-  // this child, so the trace shows the race explicitly.
-  const obs::TraceContext hedge_ctx = leg.ctx.child("hedge");
-  if (obs::tracing_enabled() && leg.ctx.valid()) {
-    obs::Tracer::global().instant("client.hedge", "client", hedge_ctx);
-  }
-
-  auto kernel = registry_.create(operation);
-  if (!kernel.is_ok()) {
-    // No local twin possible; fall back to waiting out the remote leg.
-    auto reply = leg.reply.wait();
-    note_timed_out(reply.active);
-    return resolve_response(meta, leg.ext, operation, std::move(reply.active),
-                            /*allow_resubmit=*/true, leg.ctx);
-  }
-  kernel.value()->reset();
-
-  // The local twin: this architecture has no remote replica to re-issue the
-  // active RPC to, so the replica-capable path IS demote-to-local — normal
-  // I/O chunks through the node's still-live data path, kernel on this
-  // client. The stop check ends the twin at chunk granularity the moment
-  // the remote reply lands.
-  auto streamed = kernels::stream_extent(
-      *kernel.value(), leg.ext.object_offset, leg.ext.object_offset + leg.ext.length,
-      config_.chunk_size,
-      [&](Bytes pos, Bytes len) -> Result<BufferRef> {
-        auto chunk = remote_read(leg.ext.server, meta.handle, pos, len,
-                                 hedge_ctx.child("read@" + std::to_string(pos)));
-        if (chunk.is_ok()) {
-          std::lock_guard lock(mu_);
-          stats_.raw_bytes_read += chunk.value().size();
-        }
-        return chunk;
-      },
-      /*stop=*/[&] { return leg.reply.ready(); },
-      compute_pacer(config_.pace_compute_rates, operation));
-
-  // Arbitration: the twin only wins if it finished AND the remote leg can
-  // still be withdrawn. cancel() is the atomic arbiter — when it returns
-  // true the RPC completes kCancelled (its server work withdrawn, no bytes
-  // charged); when false the real reply already landed and stands.
-  const bool twin_finished = streamed.is_ok() && !streamed.value().stopped;
-  if (twin_finished &&
-      leg.reply.cancel(error(ErrorCode::kCancelled, "hedged leg lost: local twin finished first"))) {
+  if (leg.hedge_at > 0 && hedge_budget > 0 && !leg.reply.wait_until_ready(leg.hedge_at)) {
+    --hedge_budget;
+    // The local twin: this architecture has no remote replica to re-issue
+    // the active RPC to, so the replica-capable path IS demote-to-local.
+    // The stop check ends the twin at chunk granularity the moment the
+    // remote reply lands.
+    auto twin = finish_leg_locally(meta, leg, operation, LocalCause::kHedge,
+                                   leg.ext.object_offset, nullptr,
+                                   [&] { return leg.reply.ready(); });
+    // Arbitration: the twin only wins if it finished AND the remote leg can
+    // still be withdrawn. cancel() is the atomic arbiter — when it returns
+    // true the RPC completes kCancelled (its server work withdrawn, no bytes
+    // charged); when false the real reply already landed and stands.
+    if (twin.is_ok() &&
+        leg.reply.cancel(error(ErrorCode::kCancelled, "hedged leg lost: local twin finished first"))) {
+      {
+        std::lock_guard lock(mu_);
+        ++stats_.hedges_won;
+        ++stats_.local_kernel_runs;
+      }
+      if (obs::metrics_enabled()) obs::count("client.hedges_won");
+      obs::flight_record(obs::FlightEventKind::kHedge, leg.ctx.trace_id,
+                         static_cast<std::uint32_t>(leg.ext.server), 0,
+                         "hedge won: remote leg cancelled");
+      return twin;
+    }
+    // The remote reply won the race (or the twin's read failed): the twin's
+    // partial work is the hedge's waste, the reply is the leg's result.
     {
       std::lock_guard lock(mu_);
-      ++stats_.hedges_won;
-      ++stats_.local_kernel_runs;
+      ++stats_.hedges_wasted;
     }
-    if (obs::metrics_enabled()) obs::count("client.hedges_won");
+    if (obs::metrics_enabled()) obs::count("client.hedges_wasted");
     obs::flight_record(obs::FlightEventKind::kHedge, leg.ctx.trace_id,
                        static_cast<std::uint32_t>(leg.ext.server), 0,
-                       "hedge won: remote leg cancelled");
-    return kernel.value()->finalize();
+                       "hedge wasted: remote reply stands");
   }
+  return resolve_response(meta, leg, operation, take_reply(leg.reply));
+}
 
-  // The remote reply won the race (or the twin's read failed): the twin's
-  // partial work is the hedge's waste, the reply is the leg's result —
-  // resolved through the normal completion/demotion/resume state machine.
-  {
-    std::lock_guard lock(mu_);
-    ++stats_.hedges_wasted;
+server::ActiveIoResponse ActiveClient::take_reply(rpc::PendingReply& reply) {
+  server::ActiveIoResponse resp = reply.wait().active;
+  switch (resp.outcome) {
+    case server::ActiveOutcome::kCompleted: {
+      std::lock_guard lock(mu_);
+      ++stats_.completed_remote;
+      stats_.result_bytes_received += resp.result.size();
+      break;
+    }
+    case server::ActiveOutcome::kInterrupted: {
+      std::lock_guard lock(mu_);
+      stats_.result_bytes_received += resp.checkpoint.size();
+      break;
+    }
+    case server::ActiveOutcome::kFailed:
+      if (resp.status.code() == ErrorCode::kTimedOut) {
+        std::lock_guard lock(mu_);
+        ++stats_.timed_out;
+      }
+      break;
+    case server::ActiveOutcome::kRejected:
+      break;
   }
-  if (obs::metrics_enabled()) obs::count("client.hedges_wasted");
-  obs::flight_record(obs::FlightEventKind::kHedge, leg.ctx.trace_id,
-                     static_cast<std::uint32_t>(leg.ext.server), 0,
-                     "hedge wasted: remote reply stands");
-  auto reply = leg.reply.wait();
-  note_timed_out(reply.active);
-  return resolve_response(meta, leg.ext, operation, std::move(reply.active),
-                          /*allow_resubmit=*/true, leg.ctx);
+  return resp;
 }
 
 Result<std::vector<std::uint8_t>> ActiveClient::resolve_response(
-    const pfs::FileMeta& meta, const ServerExtent& ext, const std::string& operation,
-    server::ActiveIoResponse resp, bool allow_resubmit, const obs::TraceContext& ctx) {
+    const pfs::FileMeta& meta, const PendingReadEx::Leg& leg, const std::string& operation,
+    server::ActiveIoResponse resp) {
   switch (resp.outcome) {
-    case server::ActiveOutcome::kCompleted: {
-      {
-        std::lock_guard lock(mu_);
-        ++stats_.completed_remote;
-        stats_.result_bytes_received += resp.result.size();
-      }
+    case server::ActiveOutcome::kCompleted:
       // Materialize the h(d)-sized result for the owning API; the charge
       // is the result's bytes, not the extent's.
       return resp.result.to_vector();
-    }
 
-    case server::ActiveOutcome::kRejected: {
+    case server::ActiveOutcome::kRejected:
       // Paper §III-C case 1: "For new arrival active I/O requests, R just
       // set completed argument to 0 ... The request is now changed to be a
       // normal I/O and will be processed by ASC."
-      {
-        std::lock_guard lock(mu_);
-        ++stats_.demoted;
-        ++stats_.local_kernel_runs;
-      }
-      obs::flight_record(obs::FlightEventKind::kDemotion, ctx.trace_id,
-                         static_cast<std::uint32_t>(ext.server), 0,
-                         "rejected at admission: finishing locally");
-      if (obs::tracing_enabled() && ctx.valid()) {
-        obs::Tracer::global().instant("client.demote", "client", ctx.child("client_demote"));
-      }
-      auto kernel = registry_.create(operation);
-      if (!kernel.is_ok()) return kernel.status();
-      kernel.value()->reset();
-      // Client-side compute time for a demoted kernel: the cost the CE's
-      // y_i + z terms predict the client pays instead of the server.
-      const bool obs_on = obs::metrics_enabled();
-      const double t0 = obs_on ? obs::now_us() : 0.0;
-      auto result = finish_locally(meta, ext, ext.object_offset, *kernel.value(), ctx);
-      if (obs_on) {
-        obs::count("client.demoted");
-        obs::observe("client.demoted_compute_us", obs::now_us() - t0);
-      }
-      return result;
-    }
+      return finish_leg_locally(meta, leg, operation, LocalCause::kRejected,
+                                leg.ext.object_offset);
 
     case server::ActiveOutcome::kInterrupted: {
       // Extension: offer the checkpoint back to the storage node once (the
       // spike that caused the interruption may have passed). Whatever the
       // second round returns, accumulated kernel progress is never lost:
       // every fallback resumes from the freshest checkpoint.
-      if (config_.resubmit_interrupted && allow_resubmit) {
+      if (config_.resubmit_interrupted) {
         {
           std::lock_guard lock(mu_);
           ++stats_.resubmitted;
         }
-        obs::flight_record(obs::FlightEventKind::kStateTransition, ctx.trace_id,
-                           static_cast<std::uint32_t>(ext.server), resp.resume_offset,
+        obs::flight_record(obs::FlightEventKind::kStateTransition, leg.ctx.trace_id,
+                           static_cast<std::uint32_t>(leg.ext.server), resp.resume_offset,
                            "resubmitting interrupted kernel with checkpoint");
-        auto env = active_envelope(meta, ext, operation);
+        auto env = active_envelope(meta, leg.ext, operation, leg.ctx.child("resubmit"));
         env.active.resume_checkpoint = resp.checkpoint;
         env.active.resume_from = resp.resume_offset;
-        env.trace = ctx.child("resubmit");
-        auto second_reply = transport_->submit(std::move(env)).wait();
-        note_timed_out(second_reply.active);
-        auto second = std::move(second_reply.active);
+        auto resubmitted = transport_->submit(std::move(env));
+        auto second = take_reply(resubmitted);
         if (second.outcome == server::ActiveOutcome::kCompleted) {
-          {
-            std::lock_guard lock(mu_);
-            ++stats_.completed_remote;
-            stats_.result_bytes_received += second.result.size();
-          }
           return second.result.to_vector();
         }
         // Rejected (no progress since the first checkpoint) keeps the
@@ -643,51 +583,11 @@ Result<std::vector<std::uint8_t>> ActiveClient::resolve_response(
         if (second.outcome == server::ActiveOutcome::kInterrupted) {
           resp = std::move(second);
         }
-        // Fall through to local completion from resp's checkpoint.
       }
       // Paper §III-C case 2: restore the shipped variable dump and finish
       // the remaining bytes locally.
-      {
-        std::lock_guard lock(mu_);
-        ++stats_.resumed_local;
-        ++stats_.local_kernel_runs;
-        stats_.result_bytes_received += resp.checkpoint.size();
-      }
-      auto kernel = registry_.create(operation);
-      if (!kernel.is_ok()) return kernel.status();
-      Bytes resume_from = resp.resume_offset;
-      auto decoded = Checkpoint::decode(resp.checkpoint);
-      Status st = decoded.is_ok() ? kernel.value()->restore(decoded.value()) : decoded.status();
-      if (!st.is_ok()) {
-        // A dropped/corrupted checkpoint (checksum mismatch -> kCorrupted)
-        // loses the server's progress but never correctness: restart the
-        // kernel cleanly over the whole extent instead of resuming from
-        // garbage — and never from silently-defaulted state.
-        {
-          std::lock_guard lock(mu_);
-          ++stats_.checkpoint_corrupt_restarts;
-        }
-        if (obs::metrics_enabled()) obs::count("client.ckpt_corrupt_restarts");
-        obs::flight_record(obs::FlightEventKind::kStateTransition, ctx.trace_id,
-                           static_cast<std::uint32_t>(ext.server), 0,
-                           "checkpoint corrupt: clean local restart");
-        kernel.value()->reset();
-        resume_from = ext.object_offset;
-      }
-      obs::flight_record(obs::FlightEventKind::kResume, ctx.trace_id,
-                         static_cast<std::uint32_t>(ext.server), resume_from,
-                         "restoring checkpoint, finishing locally");
-      if (obs::tracing_enabled() && ctx.valid()) {
-        obs::Tracer::global().instant("client.resume", "client", ctx.child("client_resume"));
-      }
-      const bool obs_on = obs::metrics_enabled();
-      const double t0 = obs_on ? obs::now_us() : 0.0;
-      auto result = finish_locally(meta, ext, resume_from, *kernel.value(), ctx);
-      if (obs_on) {
-        obs::count("client.resumed");
-        obs::observe("client.resume_compute_us", obs::now_us() - t0);
-      }
-      return result;
+      return finish_leg_locally(meta, leg, operation, LocalCause::kInterrupted,
+                                resp.resume_offset, &resp.checkpoint);
     }
 
     case server::ActiveOutcome::kFailed: {
@@ -698,18 +598,8 @@ Result<std::vector<std::uint8_t>> ActiveClient::resolve_response(
           resp.status.code() == ErrorCode::kInvalidArgument) {
         return resp.status;  // not transient: bad operation or missing file
       }
-      {
-        std::lock_guard lock(mu_);
-        ++stats_.failed_remote_retries;
-        ++stats_.local_kernel_runs;
-      }
-      obs::flight_record(obs::FlightEventKind::kStateTransition, ctx.trace_id,
-                         static_cast<std::uint32_t>(ext.server), 0,
-                         "remote active I/O failed: local fallback");
-      auto kernel = registry_.create(operation);
-      if (!kernel.is_ok()) return kernel.status();
-      kernel.value()->reset();
-      auto retried = finish_locally(meta, ext, ext.object_offset, *kernel.value(), ctx);
+      auto retried = finish_leg_locally(meta, leg, operation, LocalCause::kFailed,
+                                        leg.ext.object_offset);
       if (!retried.is_ok()) return resp.status;  // persistent: surface the original error
       return retried;
     }
@@ -717,129 +607,112 @@ Result<std::vector<std::uint8_t>> ActiveClient::resolve_response(
   return error(ErrorCode::kInternal, "unreachable active outcome");
 }
 
-std::vector<Result<std::vector<std::uint8_t>>> ActiveClient::read_ex_batch(
-    const std::vector<BatchItem>& items) {
-  std::vector<std::optional<Result<std::vector<std::uint8_t>>>> results(items.size());
-
-  struct PendingItem {
-    std::size_t index;
-    ServerExtent ext;
-    obs::TraceContext ctx;      ///< root of the item's causal tree
-    obs::TraceContext leg_ctx;  ///< per-server child stamped on the envelope
-    double t0_us = 0.0;
-  };
-  std::vector<PendingItem> pending;
-
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const auto& item = items[i];
-    {
-      std::lock_guard lock(mu_);
-      ++stats_.reads_ex;
-    }
-    auto fresh = pfs_.file_system().meta().lookup_handle(item.meta.handle);
-    if (!fresh.is_ok()) {
-      results[i] = fresh.status();
-      continue;
-    }
-    const Bytes size = fresh.value().size;
-    Bytes length = item.length;
-    if (item.offset >= size) length = 0;
-    length = std::min(length, size > item.offset ? size - item.offset : 0);
-
-    auto probe = registry_.create(item.operation);
-    if (!probe.is_ok()) {
-      results[i] = probe.status();
-      continue;
-    }
-    if (length == 0) {
-      probe.value()->reset();
-      results[i] = probe.value()->finalize();
-      continue;
-    }
-    const auto extents = server_extents(item.meta, item.offset, length);
-    if (extents.size() == 1) {
-      if (extents[0].server >= servers_.size()) {
-        results[i] = Result<std::vector<std::uint8_t>>(
-            error(ErrorCode::kInternal, "no storage server for data server id " +
-                                            std::to_string(extents[0].server)));
-      } else if (circuit_open(extents[0].server)) {
-        const obs::TraceContext root = obs::Tracer::global().new_root();
-        const double t0 = obs::now_us();
-        results[i] = serve_extent_locally(
-            item.meta, extents[0], item.operation,
-            root.child("s" + std::to_string(extents[0].server)));
-        emit_request_e2e(root, t0, item.operation);
-      } else {
-        PendingItem p;
-        p.index = i;
-        p.ext = extents[0];
-        p.ctx = obs::Tracer::global().new_root();
-        p.leg_ctx = p.ctx.child("s" + std::to_string(extents[0].server));
-        p.t0_us = obs::now_us();
-        pending.push_back(std::move(p));
-      }
-    } else {
-      // Striped items take the individual path (fan-out + merge). Undo the
-      // double-counted reads_ex bump from read_ex itself.
+Result<std::vector<std::uint8_t>> ActiveClient::finish_leg_locally(
+    const pfs::FileMeta& meta, const PendingReadEx::Leg& leg, const std::string& operation,
+    LocalCause cause, Bytes from, const std::vector<std::uint8_t>* checkpoint,
+    const kernels::StopCheck& stop) {
+  static_assert(std::size(kLocalCauses) == static_cast<std::size_t>(LocalCause::kHedge) + 1,
+                "one kLocalCauses row per LocalCause");
+  const LocalCauseInfo& info = kLocalCauses[static_cast<std::size_t>(cause)];
+  const auto server = static_cast<std::uint32_t>(leg.ext.server);
+  {
+    std::lock_guard lock(mu_);
+    ++(stats_.*info.counter);
+    if (info.local_run) ++stats_.local_kernel_runs;
+  }
+  if (info.metric != nullptr && obs::metrics_enabled()) obs::count(info.metric);
+  auto created = registry_.create(operation);
+  if (!created.is_ok()) return created.status();
+  kernels::Kernel& kernel = *created.value();
+  if (checkpoint == nullptr) {
+    kernel.reset();
+  } else {
+    auto decoded = Checkpoint::decode(*checkpoint);
+    const Status st = decoded.is_ok() ? kernel.restore(decoded.value()) : decoded.status();
+    if (!st.is_ok()) {
+      // A dropped/corrupted checkpoint (checksum mismatch -> kCorrupted)
+      // loses the server's progress but never correctness: restart the
+      // kernel cleanly over the whole extent instead of resuming from
+      // garbage — and never from silently-defaulted state.
       {
         std::lock_guard lock(mu_);
-        --stats_.reads_ex;
+        ++stats_.checkpoint_corrupt_restarts;
       }
-      results[i] = read_ex(item.meta, item.offset, length, item.operation);
+      if (obs::metrics_enabled()) obs::count("client.ckpt_corrupt_restarts");
+      obs::flight_record(obs::FlightEventKind::kStateTransition, leg.ctx.trace_id, server, 0,
+                         "checkpoint corrupt: clean local restart");
+      kernel.reset();
+      from = leg.ext.object_offset;
     }
   }
-
-  // One transport batch over all single-node items: the transport hands
-  // each storage node its sub-group in one submit_active_batch, so the
-  // node's CE decides over the whole group at once.
-  std::vector<rpc::Envelope> envs;
-  envs.reserve(pending.size());
-  for (const auto& p : pending) {
-    envs.push_back(active_envelope(items[p.index].meta, p.ext, items[p.index].operation));
-    envs.back().trace = p.leg_ctx;
+  obs::flight_record(info.flight, leg.ctx.trace_id, server, checkpoint != nullptr ? from : 0,
+                     info.flight_msg);
+  const obs::TraceContext salted = info.salt != nullptr ? leg.ctx.child(info.salt) : leg.ctx;
+  if (info.instant != nullptr && obs::tracing_enabled() && leg.ctx.valid()) {
+    obs::Tracer::global().instant(info.instant, "client", salted);
   }
-  auto replies = transport_->submit_batch(std::move(envs));
-  for (std::size_t j = 0; j < pending.size(); ++j) {
-    const auto& p = pending[j];
-    auto reply = replies[j].wait();
-    note_timed_out(reply.active);
-    results[p.index] = resolve_response(items[p.index].meta, p.ext, items[p.index].operation,
-                                        std::move(reply.active), /*allow_resubmit=*/true,
-                                        p.leg_ctx);
-    emit_request_e2e(p.ctx, p.t0_us, items[p.index].operation);
-  }
+  const obs::TraceContext& reads = info.reads_under_salt ? salted : leg.ctx;
 
-  std::vector<Result<std::vector<std::uint8_t>>> out;
-  out.reserve(items.size());
-  for (auto& r : results) {
-    out.push_back(r.has_value() ? std::move(*r)
-                                : Result<std::vector<std::uint8_t>>(
-                                      error(ErrorCode::kInternal, "batch item unresolved")));
-  }
-  return out;
-}
-
-Result<std::vector<std::uint8_t>> ActiveClient::finish_locally(const pfs::FileMeta& meta,
-                                                               const ServerExtent& ext,
-                                                               Bytes from,
-                                                               kernels::Kernel& kernel,
-                                                               const obs::TraceContext& ctx) {
+  // Client-side compute time: the cost the CE's y_i + z terms predict the
+  // client pays instead of the server.
+  const bool timed = info.compute_metric != nullptr && obs::metrics_enabled();
+  const double t0 = timed ? obs::now_us() : 0.0;
   auto streamed = kernels::stream_extent(
-      kernel, from, ext.object_offset + ext.length, config_.chunk_size,
+      kernel, from, leg.ext.object_offset + leg.ext.length, config_.chunk_size,
       [&](Bytes pos, Bytes len) -> Result<BufferRef> {
+        rpc::Envelope env;
+        env.target = leg.ext.server;
+        env.kind = rpc::OpKind::kRead;
+        env.read.handle = meta.handle;
+        env.read.object_offset = pos;
+        env.read.length = len;
         // Each chunk read joins the request's causal tree (distinct salt
         // per offset, so spans stay unique).
-        auto chunk = remote_read(ext.server, meta.handle, pos, len,
-                                 ctx.child("read@" + std::to_string(pos)));
-        if (chunk.is_ok()) {
+        env.trace = reads.child("read@" + std::to_string(pos));
+        auto reply = transport_->submit(std::move(env)).wait();
+        if (!reply.read.status.is_ok()) return reply.read.status;
+        {
           std::lock_guard lock(mu_);
-          stats_.raw_bytes_read += chunk.value().size();
+          stats_.raw_bytes_read += reply.read.data.size();
         }
-        return chunk;
+        return std::move(reply.read.data);
       },
-      /*stop=*/nullptr, compute_pacer(config_.pace_compute_rates, kernel.name()));
-  if (!streamed.is_ok()) return streamed.status();
-  return kernel.finalize();
+      stop, compute_pacer(config_.pace_compute_rates, operation));
+  auto result = [&]() -> Result<std::vector<std::uint8_t>> {
+    if (!streamed.is_ok()) return streamed.status();
+    if (streamed.value().stopped) return error(ErrorCode::kCancelled, "local finish stopped early");
+    return kernel.finalize();
+  }();
+  if (timed) obs::observe(info.compute_metric, obs::now_us() - t0);
+  return result;
+}
+
+std::vector<Result<std::vector<std::uint8_t>>> ActiveClient::read_ex_batch(
+    const std::vector<BatchItem>& items) {
+  std::vector<PendingReadEx> pending;
+  pending.reserve(items.size());
+  std::vector<rpc::Envelope> envs;
+  for (const auto& item : items) {
+    pending.push_back(plan_read_ex(item.meta, item.offset, item.length, item.operation));
+    for (const auto& leg : pending.back().legs_) {
+      if (leg.send) envs.push_back(active_envelope(item.meta, leg.ext, item.operation, leg.ctx));
+    }
+  }
+  // One transport batch over every item's legs: the transport hands each
+  // storage node its sub-group in one submit_active_batch, so the node's
+  // CE decides over the whole group at once.
+  auto replies = transport_->submit_batch(std::move(envs));
+  std::size_t next = 0;
+  for (auto& p : pending) {
+    for (auto& leg : p.legs_) {
+      if (leg.send) attach(leg, std::move(replies[next++]));
+    }
+    order_legs(p);
+  }
+  std::vector<Result<std::vector<std::uint8_t>>> out;
+  out.reserve(items.size());
+  for (auto& p : pending) out.push_back(p.wait());
+  return out;
 }
 
 Result<std::vector<std::uint8_t>> ActiveClient::local_kernel(const pfs::FileMeta& meta,

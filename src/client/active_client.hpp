@@ -32,6 +32,7 @@
 #include "common/token_bucket.hpp"
 #include "fault/fault.hpp"
 #include "kernels/registry.hpp"
+#include "kernels/stream.hpp"
 #include "obs/trace.hpp"
 #include "pfs/client.hpp"
 #include "rpc/interceptors.hpp"
@@ -42,23 +43,19 @@ namespace dosas::client {
 /// ActiveClient construction options (namespace-scope so it is complete
 /// where member declarations use it as a default argument).
 struct ActiveClientConfig {
-  Bytes chunk_size = 4_MiB;          ///< local kernel streaming granularity
-  bool allow_striped_fanout = true;  ///< per-server partials + merge
+  Bytes chunk_size = 4_MiB;  ///< local kernel streaming granularity
   /// Cooperative resumption (extension): when a kernel is interrupted,
   /// resubmit it once WITH its checkpoint instead of finishing locally —
   /// useful when the client is compute-poor and the storage spike was
   /// transient. A second interruption/rejection falls back to local
   /// completion as usual.
   bool resubmit_interrupted = false;
-  /// Shared link model (usually the cluster's): installed as the
-  /// transport's NetChargeTransport, which charges every reply payload
-  /// byte (results, checkpoints, raw reads). May be null.
-  std::shared_ptr<TokenBucket> network;
-
-  /// Per-storage-node link model (mutually exclusive with `network`, which
-  /// wins when both are set): bucket i charges bytes node i sends. The
-  /// scale harness's shape — one NIC per node, not one shared switch.
-  std::vector<std::shared_ptr<TokenBucket>> network_per_node;
+  /// Link model (usually the cluster's), installed as the transport's
+  /// NetChargeTransport: bucket i charges every reply payload byte node i
+  /// sends (results, checkpoints, raw reads). A shared link is the same
+  /// bucket in every slot; one bucket per node is the scale harness's
+  /// shape. Empty: no charging.
+  std::vector<std::shared_ptr<TokenBucket>> links;
 
   /// Pace local kernel execution at the table's C_{C,op} compute rate:
   /// each chunk a client-side kernel consumes sleeps chunk/C on the
@@ -196,6 +193,9 @@ class ActiveClient {
       /// Absolute clock time after which this still-outstanding leg is
       /// hedged (0 = hedging off / node too cold). Stamped at submission.
       Seconds hedge_at = 0;
+      /// Set by the planning step: the node exists and its circuit is
+      /// closed, so the send step submits this leg's active RPC.
+      bool send = false;
     };
 
     /// Resolve the result (wait() minus the root-span/e2e bookkeeping).
@@ -265,12 +265,12 @@ class ActiveClient {
     std::string operation;
   };
 
-  /// Collective active read: items whose extents live on a single storage
-  /// node ride one transport batch submission, which hands each node its
-  /// sub-group at once — so each node's CE makes ONE decision over the
-  /// whole batch (no admit-then-interrupt churn). Striped/multi-node items
-  /// fall back to individual read_ex calls. Results align positionally
-  /// with `items`.
+  /// Collective active read: every item is planned like read_ex_async(),
+  /// then all items' legs ride ONE transport batch submission, which hands
+  /// each node its sub-group at once — so each node's CE makes ONE
+  /// decision over the whole batch (no admit-then-interrupt churn). Each
+  /// item then resolves like PendingReadEx::wait(). Results align
+  /// positionally with `items`.
   std::vector<Result<std::vector<std::uint8_t>>> read_ex_batch(
       const std::vector<BatchItem>& items);
 
@@ -292,17 +292,27 @@ class ActiveClient {
   std::vector<ServerExtent> server_extents(const pfs::FileMeta& meta, Bytes offset,
                                            Bytes length) const;
 
-  /// Build the kActiveIo envelope for one server extent.
+  /// Build the kActiveIo envelope for one server extent, joined to `trace`.
   rpc::Envelope active_envelope(const pfs::FileMeta& meta, const ServerExtent& ext,
-                                const std::string& operation) const;
+                                const std::string& operation,
+                                const obs::TraceContext& trace) const;
 
-  /// Blocking object-extent read from one server through the transport.
-  /// A valid `ctx` joins the read to an existing causal tree (the
-  /// demote/resume paths); an invalid one lets the transport start a fresh
-  /// root trace.
-  Result<BufferRef> remote_read(pfs::ServerId target, pfs::FileHandle handle,
-                                Bytes object_offset, Bytes length,
-                                const obs::TraceContext& ctx = {});
+  /// Planning step of read_ex_async(): trace root, EOF clamp, probe
+  /// kernel, extent split and circuit check. Legs come back unsent (see
+  /// Leg::send); a read resolved here (EOF, bad operation) or served by one
+  /// local pass has no legs.
+  PendingReadEx plan_read_ex(const pfs::FileMeta& meta, Bytes offset, Bytes length,
+                             const std::string& operation);
+
+  /// Send step, per leg: record the leg's submitted RPC and, with hedging
+  /// on, stamp the clock time after which it is hedged — p99-derived for a
+  /// warm node, the cold delay otherwise.
+  void attach(PendingReadEx::Leg& leg, rpc::PendingReply reply);
+
+  /// Last send step: order the legs for resolution, fastest predicted node
+  /// first, so the predicted straggler is waited on last with the whole
+  /// hedge budget.
+  void order_legs(PendingReadEx& pending) const;
 
   /// EOF-clamped striped read assembled from per-server kRead RPCs (one
   /// batch submission; holes read as zeros). Single-strip extents return
@@ -318,57 +328,41 @@ class ActiveClient {
 
   /// Resolve one leg of a pending read: wait for its reply (or serve it
   /// locally when the circuit was open) and finish any handed-back work.
-  /// `hedge_budget` (may be null: no hedging) is decremented when the leg's
-  /// hedge timer expires and a local twin is raced against the RPC.
+  /// `hedge_budget` is decremented when the leg's hedge timer expires and
+  /// a local twin is raced against the RPC; the loser is cancelled, so
+  /// exactly one of the two becomes the leg's result.
   Result<std::vector<std::uint8_t>> resolve_leg(const pfs::FileMeta& meta,
                                                 PendingReadEx::Leg& leg,
                                                 const std::string& operation,
-                                                std::size_t* hedge_budget = nullptr);
+                                                std::size_t& hedge_budget);
 
-  /// The hedge: race a local twin (normal I/O + local kernel, chunked so it
-  /// aborts as soon as the remote reply lands) against the still-outstanding
-  /// RPC, and cancel the loser. Exactly one of the two becomes the leg's
-  /// result; the cancelled loser is charged no bytes.
-  Result<std::vector<std::uint8_t>> hedge_leg(const pfs::FileMeta& meta,
-                                              PendingReadEx::Leg& leg,
-                                              const std::string& operation);
+  /// Wait for an active reply and count what it carried: a completion, the
+  /// result or checkpoint bytes it brought over the link (each reply
+  /// counted as it arrives, so a resubmitted leg counts both), or a
+  /// deadline expiry.
+  server::ActiveIoResponse take_reply(rpc::PendingReply& reply);
 
-  /// How long a leg to `server` may stay outstanding before it is hedged
-  /// (0 = do not hedge this leg). p99-derived for warm nodes, the cold
-  /// delay otherwise.
-  Seconds hedge_delay_for(pfs::ServerId server) const;
-
-  /// True when the circuit for `server` is open (too many consecutive
-  /// kUnavailable) and this request is not a re-probe.
-  bool circuit_open(pfs::ServerId server);
-
-  /// Full local service of one extent (normal I/O + local kernel), used
-  /// when the circuit is open. Reuses the node's still-live data path.
-  Result<std::vector<std::uint8_t>> serve_extent_locally(const pfs::FileMeta& meta,
-                                                         const ServerExtent& ext,
-                                                         const std::string& operation,
-                                                         const obs::TraceContext& ctx = {});
-
-  /// Resolve an already-received server response for one extent (the
-  /// completion/demotion/resume/retry state machine shared by the single
-  /// and batch paths).
+  /// Resolve an already-received server response for one leg: the
+  /// completion / demotion / resume / resubmit / retry state machine.
   Result<std::vector<std::uint8_t>> resolve_response(const pfs::FileMeta& meta,
-                                                     const ServerExtent& ext,
+                                                     const PendingReadEx::Leg& leg,
                                                      const std::string& operation,
-                                                     server::ActiveIoResponse resp,
-                                                     bool allow_resubmit = true,
-                                                     const obs::TraceContext& ctx = {});
+                                                     server::ActiveIoResponse resp);
 
-  /// Stream object bytes [from, ext end) through `kernel` via the node's
-  /// normal-I/O path (transport kRead per chunk) and finalize. The
-  /// demoted / resumed / retried completion loop.
-  Result<std::vector<std::uint8_t>> finish_locally(const pfs::FileMeta& meta,
-                                                   const ServerExtent& ext, Bytes from,
-                                                   kernels::Kernel& kernel,
-                                                   const obs::TraceContext& ctx = {});
+  /// Why a leg's kernel runs on this client. Indexes the per-cause table
+  /// in active_client.cpp: what each case counts and emits.
+  enum class LocalCause { kRejected, kInterrupted, kFailed, kCircuitOpen, kHedge };
 
-  /// Count a deadline expiry on a final active response.
-  void note_timed_out(const server::ActiveIoResponse& resp);
+  /// The one path by which this client finishes handed-back work (paper
+  /// §III-C): stream the leg's object bytes [from, extent end) through the
+  /// node's normal-I/O path (a transport kRead per chunk) into a local
+  /// kernel and finalize. A `checkpoint` is restored first (a corrupt one
+  /// restarts cleanly from the extent start); a `stop` check that fires
+  /// ends the stream early with kCancelled.
+  Result<std::vector<std::uint8_t>> finish_leg_locally(
+      const pfs::FileMeta& meta, const PendingReadEx::Leg& leg, const std::string& operation,
+      LocalCause cause, Bytes from, const std::vector<std::uint8_t>* checkpoint = nullptr,
+      const kernels::StopCheck& stop = nullptr);
 
   pfs::Client& pfs_;
   const kernels::Registry& registry_;

@@ -1,10 +1,6 @@
-// queue_poll.hpp — the tri-state poll protocol shared by every in-process
-// queue (Ring, Channel).
-//
-// Extracted from channel.hpp so the lock-free Ring does not have to pull
-// in the mutex Channel just to name the enum: Ring is the default queue
-// for new code (see channel.hpp's deprecation note), and its header should
-// not depend on the thing it replaced.
+// queue_poll.hpp — the tri-state poll protocol of the in-process queue
+// (Ring, SpscRing). Its own header so callers that only name the enum
+// need not pull in the ring.
 #pragma once
 
 #include <cstdint>

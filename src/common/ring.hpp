@@ -1,10 +1,10 @@
 // ring.hpp — bounded lock-free MPMC ring with a Clock-seam parking fallback.
 //
 // DOSAS's argument is about where *storage* contention lives; the runtime
-// must not manufacture its own. Channel (channel.hpp) takes a mutex on
+// must not manufacture its own. A mutex-guarded queue takes a lock on
 // every hop, so the storage-server dispatch queue and the scale-harness
-// completer queues serialized on locks the paper never modeled. Ring is
-// the lock-free replacement for those hot hops:
+// completer queues would serialize on locks the paper never modeled. Ring
+// is the repo's one queue primitive, lock-free on those hot hops:
 //
 //   * fast path: a Vyukov-style bounded MPMC ring — per-slot sequence
 //     numbers, one CAS on enqueue_pos_/dequeue_pos_ per operation, no
@@ -13,8 +13,8 @@
 //     condition variable *through the Clock seam* (clock.hpp), so a worker
 //     blocked in receive() counts as quiescent under a VirtualClock and
 //     DST bit-identity survives the swap;
-//   * close(): same contract as Channel — sends fail after close, and any
-//     send() that returned true is guaranteed to be drained by receivers
+//   * close(): sends fail after close, and any send() that returned true
+//     is guaranteed to be drained by receivers
 //     (a producers-in-flight count lets receivers distinguish "drained"
 //     from "a producer is mid-commit");
 //   * SPSC specialization: Ring<T, RingKind::kSpsc> (alias SpscRing<T>)
@@ -190,7 +190,7 @@ class Ring {
   }
 
   /// Blocks until an item is available or the ring is closed *and*
-  /// drained; nullopt means closed-and-empty (same contract as Channel).
+  /// drained; nullopt means closed-and-empty.
   std::optional<T> receive() {
     std::optional<T> out;
     for (int i = 0; i < kSpins; ++i) {
@@ -219,7 +219,7 @@ class Ring {
     return out;
   }
 
-  /// Non-blocking tri-state receive (same contract as Channel::poll):
+  /// Non-blocking tri-state receive (the QueuePoll protocol):
   /// kItem fills `out`; kEmpty means open-but-nothing-now (including a
   /// producer mid-commit); kClosed means closed and fully drained.
   QueuePoll poll(std::optional<T>& out) {

@@ -10,19 +10,22 @@ Cluster::Cluster(ClusterConfig config)
   const std::string optimizer = config_.optimizer_override.empty()
                                     ? scheme_optimizer(config_.scheme)
                                     : config_.optimizer_override;
-  if (config_.network_rate > 0.0 && !config_.network_per_node) {
-    network_ = std::make_shared<TokenBucket>(config_.network_rate, /*burst=*/1_MiB,
+  if (config_.network_rate > 0.0) {
+    // Per-node uplinks get a small burst: a node's uplink must not hide a
+    // whole chunk's transfer cost behind accumulated idle credit, or
+    // TS-vs-AS comparisons at low concurrency would see free reads. The
+    // shared link is one bucket in every node's slot.
+    std::shared_ptr<TokenBucket> shared;
+    if (!config_.network_per_node) {
+      shared = std::make_shared<TokenBucket>(config_.network_rate, /*burst=*/1_MiB,
                                              config_.network_mode);
-  }
-  if (config_.network_rate > 0.0 && config_.network_per_node) {
-    // Small burst: a node's uplink must not hide a whole chunk's transfer
-    // cost behind accumulated idle credit, or TS-vs-AS comparisons at low
-    // concurrency would see free reads.
-    node_links_.reserve(config_.storage_nodes);
+    }
+    links_.reserve(config_.storage_nodes);
     for (std::uint32_t i = 0; i < config_.storage_nodes; ++i) {
-      node_links_.push_back(std::make_shared<TokenBucket>(config_.network_rate,
-                                                          /*burst=*/8_KiB,
-                                                          config_.network_mode));
+      links_.push_back(shared != nullptr ? shared
+                                         : std::make_shared<TokenBucket>(config_.network_rate,
+                                                                         /*burst=*/8_KiB,
+                                                                         config_.network_mode));
     }
   }
   servers_.reserve(config_.storage_nodes);
@@ -55,8 +58,7 @@ Cluster::Cluster(ClusterConfig config)
   client::ActiveClient::Config cc;
   cc.chunk_size = config_.client_chunk_size;
   cc.resubmit_interrupted = config_.resubmit_interrupted;
-  cc.network = network_;
-  cc.network_per_node = node_links_;
+  cc.links = links_;
   if (config_.pace_client_compute) {
     cc.pace_compute_rates = std::make_shared<server::RateTable>(config_.rates);
   }

@@ -3,7 +3,7 @@
 //
 // Three call sites used to hand-roll this loop — the storage server's
 // runtime path (run_kernel), the client's local-completion path
-// (finish_locally), and the client's whole-file TS path (local_kernel) —
+// (finish_leg_locally), and the client's whole-file TS path (local_kernel) —
 // and they drifted once already on empty-chunk handling. stream_extent()
 // is the single definition of the contract:
 //

@@ -379,17 +379,11 @@ void FaultTransport::collect_stats(TransportStats& out) const {
 // --------------------------------------------------------- NetChargeTransport
 
 NetChargeTransport::NetChargeTransport(std::shared_ptr<Transport> next,
-                                       std::shared_ptr<TokenBucket> network)
-    : Filter(std::move(next)), network_(std::move(network)) {}
-
-NetChargeTransport::NetChargeTransport(std::shared_ptr<Transport> next,
-                                       std::vector<std::shared_ptr<TokenBucket>> per_node)
-    : Filter(std::move(next)), per_node_(std::move(per_node)) {}
+                                       std::vector<std::shared_ptr<TokenBucket>> links)
+    : Filter(std::move(next)), links_(std::move(links)) {}
 
 TokenBucket* NetChargeTransport::bucket_for(std::uint32_t target) const {
-  if (network_ != nullptr) return network_.get();
-  if (target < per_node_.size()) return per_node_[target].get();
-  return nullptr;
+  return target < links_.size() ? links_[target].get() : nullptr;
 }
 
 void NetChargeTransport::charge(PendingReply& reply, std::uint32_t target) {
@@ -452,10 +446,8 @@ void NetChargeTransport::collect_stats(TransportStats& out) const {
 Chain make_chain(std::vector<server::StorageServer*> servers, const ChainOptions& options) {
   Chain chain;
   std::shared_ptr<Transport> t = std::make_shared<InProcessTransport>(std::move(servers));
-  if (options.network != nullptr) {
-    t = std::make_shared<NetChargeTransport>(std::move(t), options.network);
-  } else if (!options.network_per_node.empty()) {
-    t = std::make_shared<NetChargeTransport>(std::move(t), options.network_per_node);
+  if (!options.links.empty()) {
+    t = std::make_shared<NetChargeTransport>(std::move(t), options.links);
   }
   if (options.faults != nullptr) {
     t = std::make_shared<FaultTransport>(std::move(t), options.faults);

@@ -11,9 +11,9 @@
 //    │                           capped exponential backoff
 //    └─ FaultTransport           injected network loss (per ATTEMPT — inside
 //    │                           retry, so a retry can recover a lost RPC)
-//    └─ NetChargeTransport       reply payload bytes charged to the shared
-//    │                           link model (inside fault: a lost RPC moves
-//    │                           no bytes)
+//    └─ NetChargeTransport       reply payload bytes charged to the sending
+//    │                           node's link bucket (inside fault: a lost
+//    │                           RPC moves no bytes)
 //    └─ InProcessTransport       routing, deadlines, batching (inprocess.hpp)
 //
 // The ordering is behaviour, not style: the breaker must see one verdict
@@ -156,15 +156,15 @@ class FaultTransport : public Filter {
 /// Network byte charging: every payload byte a reply carries back across
 /// the "wire" — kernel results, shipped checkpoints, raw read data — is
 /// acquired from the TokenBucket link model on completion. Sits innermost
-/// (under fault injection) so lost RPCs charge nothing. Two link shapes:
-/// one shared bucket (the original single-switch model), or one bucket per
-/// storage node (each node's own NIC/1GbE uplink — the scale harness's
-/// model, where 200 nodes must not share one link's serialization).
+/// (under fault injection) so lost RPCs charge nothing. `links[i]` charges
+/// the bytes node i sends. A shared link (the original single-switch
+/// model) is the same bucket in every slot; one bucket per node is each
+/// node's own NIC/1GbE uplink — the scale harness's model, where 200 nodes
+/// must not share one link's serialization.
 class NetChargeTransport : public Filter {
  public:
-  NetChargeTransport(std::shared_ptr<Transport> next, std::shared_ptr<TokenBucket> network);
   NetChargeTransport(std::shared_ptr<Transport> next,
-                     std::vector<std::shared_ptr<TokenBucket>> per_node);
+                     std::vector<std::shared_ptr<TokenBucket>> links);
 
   PendingReply submit(Envelope env) override;
   std::vector<PendingReply> submit_batch(std::vector<Envelope> envs) override;
@@ -175,8 +175,7 @@ class NetChargeTransport : public Filter {
   TokenBucket* bucket_for(std::uint32_t target) const;
   void charge(PendingReply& reply, std::uint32_t target);
 
-  const std::shared_ptr<TokenBucket> network_;  ///< shared-link mode
-  const std::vector<std::shared_ptr<TokenBucket>> per_node_;  ///< per-node mode
+  const std::vector<std::shared_ptr<TokenBucket>> links_;
   mutable std::mutex mu_;
   Bytes bytes_charged_ = 0;
 };
@@ -188,10 +187,9 @@ struct ChainOptions {
   std::uint64_t retry_seed = 1234;
   int circuit_threshold = 0;                      ///< 0: no breaker layer
   std::shared_ptr<fault::FaultInjector> faults;   ///< null: no fault layer
-  std::shared_ptr<TokenBucket> network;           ///< null: no charging layer
-  /// Per-node link buckets, indexed by storage node id (empty: none).
-  /// Mutually exclusive with `network`; `network` wins when both are set.
-  std::vector<std::shared_ptr<TokenBucket>> network_per_node;
+  /// Link bucket per storage node id (see NetChargeTransport); empty: no
+  /// charging layer.
+  std::vector<std::shared_ptr<TokenBucket>> links;
 };
 
 struct Chain {

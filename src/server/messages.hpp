@@ -34,11 +34,6 @@ struct ActiveIoRequest {
   std::vector<std::uint8_t> resume_checkpoint;
   Bytes resume_from = 0;  ///< object offset to continue from (with checkpoint)
 
-  /// Per-request deadline: 0 = wait forever; > 0 = the client abandons the
-  /// request after this many (wall-clock) seconds, gets kTimedOut, and the
-  /// server interrupts the kernel. Set via ActiveClient::Config.
-  Seconds timeout = 0;
-
   /// Causal trace context carried over from the rpc envelope, so the
   /// server-side queue/kernel spans join the client's request tree.
   obs::TraceContext trace;

@@ -393,7 +393,7 @@ StorageServer::ActiveTicket StorageServer::submit_active(ActiveIoRequest request
   }();
   auto [id, entry] = register_entry(std::move(request), Waiter{ticket.waiter, std::move(done)});
   ticket.id = id;
-  if (config_.policy_on_arrival) evaluate_policy();
+  evaluate_policy();
   if (!launch_or_reject(id, entry)) return {};  // completed synchronously
   return ticket;
 }
@@ -504,90 +504,6 @@ bool StorageServer::cancel_active(const ActiveTicket& ticket, const Status& reas
     obs_queue_depth_locked();
   }
   return true;
-}
-
-ActiveIoResponse StorageServer::serve_active(ActiveIoRequest request) {
-  obs::ScopedTrace span(obs_name_ + ".serve_active", "server");
-  const Seconds timeout = request.timeout;
-
-  // One-shot completion slot shared with the worker. The mutex/cv pair is
-  // heap-held so a timed-out waiter can return while a racing completion
-  // still fires harmlessly into the (then unobserved) slot.
-  struct Slot {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool ready = false;
-    ActiveIoResponse resp;
-  };
-  auto slot = std::make_shared<Slot>();
-  auto ticket = submit_active(std::move(request), [slot](ActiveIoResponse r) {
-    {
-      std::lock_guard lock(slot->mu);
-      slot->resp = std::move(r);
-      slot->ready = true;
-    }
-    clock().wake_all(slot->cv);
-  });
-
-  std::unique_lock lock(slot->mu);
-  if (timeout > 0.0) {
-    const bool ready = clock().timed_wait(slot->cv, lock, clock().now() + timeout,
-                                          [&] { return slot->ready; });
-    if (!ready) {
-      const Status expired =
-          error(ErrorCode::kTimedOut, "active request " + std::to_string(ticket.id) +
-                                          " exceeded its " + std::to_string(timeout) +
-                                          "s deadline");
-      lock.unlock();
-      if (cancel_active(ticket, expired)) {
-        ActiveIoResponse resp;
-        resp.outcome = ActiveOutcome::kFailed;
-        resp.status = expired;
-        return resp;
-      }
-      // Lost the race: the completion fired (or is firing) — take it.
-      lock.lock();
-      clock().wait(slot->cv, lock, [&] { return slot->ready; });
-    }
-  } else {
-    clock().wait(slot->cv, lock, [&] { return slot->ready; });
-  }
-  return std::move(slot->resp);
-}
-
-std::vector<ActiveIoResponse> StorageServer::serve_active_batch(
-    std::vector<ActiveIoRequest> requests) {
-  struct Slot {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool ready = false;
-    ActiveIoResponse resp;
-  };
-  const std::size_t n = requests.size();
-  std::vector<std::shared_ptr<Slot>> slots;
-  std::vector<ActiveCompletion> dones;
-  slots.reserve(n);
-  dones.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    auto slot = std::make_shared<Slot>();
-    slots.push_back(slot);
-    dones.push_back([slot](ActiveIoResponse r) {
-      {
-        std::lock_guard lock(slot->mu);
-        slot->resp = std::move(r);
-        slot->ready = true;
-      }
-      clock().wake_all(slot->cv);
-    });
-  }
-  (void)submit_active_batch(std::move(requests), std::move(dones));
-  std::vector<ActiveIoResponse> responses(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::unique_lock lock(slots[i]->mu);
-    clock().wait(slots[i]->cv, lock, [&] { return slots[i]->ready; });
-    responses[i] = std::move(slots[i]->resp);
-  }
-  return responses;
 }
 
 void StorageServer::probe() {

@@ -17,8 +17,7 @@
 // request and returns immediately; the completion callback fires exactly
 // once from a worker (or the submitting thread, for synchronous outcomes
 // such as rejection at arrival and cache hits). This is the
-// Transport-facing interface the rpc layer drives; serve_active() remains
-// as a thin blocking wrapper over it for direct callers.
+// Transport-facing interface the rpc layer drives.
 //
 // Identical in-flight requests — same (handle, extent, operation) — are
 // COALESCED: the second submission attaches as an extra waiter on the
@@ -52,7 +51,6 @@ struct StorageServerConfig {
   std::size_t cores = 2;        ///< worker pool size (paper: 2-core nodes)
   Bytes chunk_size = 4_MiB;     ///< kernel streaming granularity; also the
                                 ///< interruption-check interval
-  bool policy_on_arrival = true;  ///< run the CE policy on every arrival
   /// Interruption hysteresis: only interrupt a running kernel while more
   /// than this fraction of its input remains unprocessed (0 = the paper's
   /// unconditional behaviour; 1 = never interrupt). See the interruption
@@ -170,22 +168,12 @@ class StorageServer {
   /// counted as a timeout when its code is kTimedOut.
   bool cancel_active(const ActiveTicket& ticket, const Status& reason);
 
-  /// Blocking active I/O — a thin wrapper over submit_active() that waits
-  /// for the completion, honouring request.timeout (cancel + kTimedOut on
-  /// expiry) exactly as the transport's deadline watchdog does for async
-  /// callers.
-  ActiveIoResponse serve_active(ActiveIoRequest request);
-
-  /// Blocking batch wrapper over submit_active_batch(). Responses are
-  /// positionally aligned with `requests`.
-  std::vector<ActiveIoResponse> serve_active_batch(std::vector<ActiveIoRequest> requests);
-
   /// Probe the node state into the CE and re-apply the scheduling policy
   /// to the current queue (the CE's periodic tick; tests call it directly).
   void probe();
 
   /// Attach a (usually cluster-shared) fault injector. While this node is
-  /// marked crashed, serve_active fails with kUnavailable (the normal-I/O
+  /// marked crashed, submit_active fails with kUnavailable (the normal-I/O
   /// data path keeps serving, as in a PFS whose active runtime died);
   /// running kernels may be injected with throws, stalls, and checkpoint
   /// corruption per the injector's spec. Pass nullptr to detach.

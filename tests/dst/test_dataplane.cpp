@@ -1,7 +1,7 @@
 // test_dataplane.cpp — DST fingerprints for the lock-free data plane.
 //
-// The ring and the buffer arena replaced the mutex Channel and the
-// per-layer copy chain on the hot path. Their internal CAS/lock counters
+// The ring and the buffer arena carry the hot path's queue hops and
+// extents. Their internal CAS/lock counters
 // are schedule-dependent and deliberately excluded from fingerprints; what
 // MUST reproduce bit-identically under a VirtualClock is the observable
 // data plane: delivery order and virtual timing through a ring pipeline,

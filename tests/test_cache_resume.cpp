@@ -5,9 +5,11 @@
 
 #include <thread>
 
+#include "common/clock.hpp"
 #include "core/cluster.hpp"
 #include "kernels/gaussian2d.hpp"
 #include "kernels/sum.hpp"
+#include "rpc/inprocess.hpp"
 #include "server/storage_server.hpp"
 
 namespace dosas::core {
@@ -212,6 +214,16 @@ TEST(ObjectVersion, BumpsOnWriteAndRemove) {
 
 // ---------------------------------------------------------------- cooperative resumption
 
+/// One active RPC to `server` through a bare in-process transport, blocking
+/// until its reply.
+server::ActiveIoResponse serve(server::StorageServer& server, server::ActiveIoRequest request) {
+  rpc::InProcessTransport transport({&server});
+  rpc::Envelope env;
+  env.kind = rpc::OpKind::kActiveIo;
+  env.active = std::move(request);
+  return transport.submit(std::move(env)).wait().active;
+}
+
 TEST(Resumption, ServerContinuesFromCheckpoint) {
   // Drive the server API directly: interrupt a kernel by hand, then
   // resubmit with the checkpoint and verify the result matches an
@@ -242,7 +254,7 @@ TEST(Resumption, ServerContinuesFromCheckpoint) {
   resume.operation = "gaussian2d:width=128";
   resume.resume_checkpoint = partial.checkpoint().encode();
   resume.resume_from = cut;
-  auto resp = server.serve_active(resume);
+  auto resp = serve(server, resume);
   ASSERT_EQ(resp.outcome, server::ActiveOutcome::kCompleted) << resp.status.to_string();
 
   // Reference: one uninterrupted pass.
@@ -270,7 +282,7 @@ TEST(Resumption, BadCheckpointFailsCleanly) {
   resume.operation = "sum";
   resume.resume_checkpoint = {1, 2, 3, 4};  // garbage
   resume.resume_from = 0;
-  auto resp = server.serve_active(resume);
+  auto resp = serve(server, resume);
   EXPECT_EQ(resp.outcome, server::ActiveOutcome::kFailed);
 }
 
@@ -322,6 +334,62 @@ TEST(Resumption, ClientResubmitPathProducesExactResults) {
     kernels::Gaussian2dKernel ref(kWidth);
     ref.consume(raw.value());
     EXPECT_EQ(results[f], ref.finalize()) << f;
+  }
+}
+
+TEST(Resumption, ResubmitKeepsTheLinkLedgerBalanced) {
+  // The resubmit path, pinned under a VirtualClock: one paced Gaussian is
+  // admitted, three more arrive 1 ms later and the CE interrupts it; the
+  // client offers the checkpoint back once and the newcomers are rejected.
+  // Every byte the link charged must be a byte the client counted — the
+  // first round's checkpoint included.
+  VirtualClock vc;
+  ScopedClockOverride override_clock(vc);
+  ClockParticipant me;
+
+  ClusterConfig cfg;
+  cfg.storage_nodes = 1;
+  cfg.cores_per_node = 1;
+  cfg.strip_size = 1_MiB;
+  cfg.scheme = SchemeKind::kDosas;
+  cfg.optimizer_override = "sortmin";
+  cfg.server_chunk_size = 16_KiB;
+  cfg.client_chunk_size = 16_KiB;
+  cfg.pace_kernel_rates = true;
+  cfg.pace_client_compute = true;
+  cfg.resubmit_interrupted = true;
+  cfg.network_rate = mb_per_sec(118.0);
+  cfg.network_mode = TokenBucket::Mode::kVirtual;
+  Cluster cluster(cfg);
+
+  constexpr std::size_t kWidth = 128;
+  auto meta = pfs::write_doubles(cluster.pfs_client(), "/g", 1_MiB / sizeof(double),
+                                 [](std::size_t i) { return static_cast<double>(i % 23); });
+  ASSERT_TRUE(meta.is_ok());
+  const std::string op = "gaussian2d:width=128";
+
+  std::vector<client::ActiveClient::PendingReadEx> pending;
+  pending.push_back(cluster.asc().read_ex_async(meta.value(), 0, meta.value().size, op));
+  clock().sleep(0.001);
+  for (int i = 0; i < 3; ++i) {
+    pending.push_back(cluster.asc().read_ex_async(meta.value(), 0, meta.value().size, op));
+  }
+  std::vector<Result<std::vector<std::uint8_t>>> results;
+  for (auto& p : pending) results.push_back(p.wait());
+
+  const auto cs = cluster.asc().stats();
+  EXPECT_GE(cs.resubmitted, 1u);
+  EXPECT_EQ(cluster.asc().transport_stats().bytes_charged,
+            cs.raw_bytes_read + cs.raw_bytes_written + cs.result_bytes_received);
+
+  auto raw = cluster.pfs_client().read_all(meta.value());
+  ASSERT_TRUE(raw.is_ok());
+  kernels::Gaussian2dKernel ref(kWidth);
+  ref.consume(raw.value());
+  const auto expect = ref.finalize();
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    ASSERT_TRUE(results[i].is_ok()) << i << ": " << results[i].status().to_string();
+    EXPECT_EQ(results[i].value(), expect) << i;
   }
 }
 

@@ -1,5 +1,5 @@
 // Unit tests for dosas::common — units, status, RNG, stats, serialization,
-// channels, thread pool, token bucket.
+// thread pool, token bucket.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -7,7 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/channel.hpp"
 #include "common/clock.hpp"
 #include "common/rng.hpp"
 #include "common/serialize.hpp"
@@ -346,108 +345,6 @@ TEST(Checkpoint, EncodedSizeGrowsWithPayload) {
   Checkpoint big = small;
   big.set_blob("buf", std::vector<std::uint8_t>(4096, 0x5A));
   EXPECT_GT(big.encoded_size(), small.encoded_size() + 4000);
-}
-
-// ---------------------------------------------------------------- channel
-
-TEST(Channel, SendReceiveOrder) {
-  Channel<int> ch;
-  ch.send(1);
-  ch.send(2);
-  ch.send(3);
-  EXPECT_EQ(ch.receive().value(), 1);
-  EXPECT_EQ(ch.receive().value(), 2);
-  EXPECT_EQ(ch.receive().value(), 3);
-}
-
-TEST(Channel, TryReceiveEmptyIsNullopt) {
-  Channel<int> ch;
-  EXPECT_FALSE(ch.try_receive().has_value());
-}
-
-TEST(Channel, BoundedTrySendFailsWhenFull) {
-  Channel<int> ch(2);
-  EXPECT_TRUE(ch.try_send(1));
-  EXPECT_TRUE(ch.try_send(2));
-  EXPECT_FALSE(ch.try_send(3));
-  EXPECT_EQ(ch.size(), 2u);
-}
-
-TEST(Channel, CloseDrainsThenSignals) {
-  Channel<int> ch;
-  ch.send(7);
-  ch.close();
-  EXPECT_FALSE(ch.send(8));
-  EXPECT_EQ(ch.receive().value(), 7);
-  EXPECT_FALSE(ch.receive().has_value());
-}
-
-TEST(Channel, CloseWakesBlockedReceiver) {
-  VirtualClock vc;
-  ScopedClockOverride override_clock(vc);
-  Channel<int> ch;
-  std::thread t([&] {
-    ClockParticipant participant;
-    auto v = ch.receive();
-    EXPECT_FALSE(v.has_value());
-  });
-  // Deterministic rendezvous: once the clock counts the receiver as
-  // blocked it is parked inside receive() — no wall-clock sleep needed.
-  while (vc.status().blocked < 1) std::this_thread::yield();
-  ch.close();
-  t.join();
-}
-
-TEST(Channel, MultiProducerMultiConsumerDeliversAll) {
-  Channel<int> ch(16);
-  constexpr int kPerProducer = 200;
-  constexpr int kProducers = 3;
-  constexpr int kConsumers = 3;
-  std::atomic<int> received{0};
-  std::atomic<long> sum{0};
-
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) ch.send(p * kPerProducer + i);
-    });
-  }
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&] {
-      while (auto v = ch.receive()) {
-        sum += *v;
-        ++received;
-      }
-    });
-  }
-  for (int p = 0; p < kProducers; ++p) threads[static_cast<std::size_t>(p)].join();
-  ch.close();
-  for (int c = 0; c < kConsumers; ++c) threads[static_cast<std::size_t>(kProducers + c)].join();
-
-  const int total = kPerProducer * kProducers;
-  EXPECT_EQ(received.load(), total);
-  EXPECT_EQ(sum.load(), static_cast<long>(total) * (total - 1) / 2);
-}
-
-TEST(Channel, PollDistinguishesEmptyFromClosed) {
-  // try_receive() conflates "momentarily empty" with "closed and drained";
-  // poll() is the tri-state form drain loops must use to tell them apart.
-  Channel<int> ch;
-  std::optional<int> out;
-  EXPECT_EQ(ch.poll(out), QueuePoll::kEmpty);
-  EXPECT_FALSE(out.has_value());
-
-  ch.send(5);
-  EXPECT_EQ(ch.poll(out), QueuePoll::kItem);
-  EXPECT_EQ(out.value(), 5);
-
-  ch.send(6);
-  ch.close();
-  EXPECT_EQ(ch.poll(out), QueuePoll::kItem);  // drain continues past close
-  EXPECT_EQ(out.value(), 6);
-  EXPECT_EQ(ch.poll(out), QueuePoll::kClosed);
-  EXPECT_FALSE(out.has_value());
-  EXPECT_EQ(ch.poll(out), QueuePoll::kClosed);  // stable once signalled
 }
 
 // ---------------------------------------------------------------- thread pool

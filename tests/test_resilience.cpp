@@ -14,6 +14,7 @@
 #include "fault/fault.hpp"
 #include "kernels/sum.hpp"
 #include "obs/flight_recorder.hpp"
+#include "rpc/inprocess.hpp"
 #include "server/storage_server.hpp"
 
 namespace dosas::core {
@@ -427,7 +428,11 @@ TEST(FaultE2E, ServerRejectsCorruptResumeCheckpointWithTypedError) {
   req.operation = "sum";
   req.resume_checkpoint = bytes;
   req.resume_from = 4096;
-  auto resp = cluster->storage_server(0).serve_active(req);
+  rpc::InProcessTransport transport({&cluster->storage_server(0)});
+  rpc::Envelope env;
+  env.kind = rpc::OpKind::kActiveIo;
+  env.active = req;
+  auto resp = transport.submit(std::move(env)).wait().active;
   EXPECT_EQ(resp.outcome, server::ActiveOutcome::kFailed);
   EXPECT_EQ(resp.status.code(), ErrorCode::kCorrupted);
 }

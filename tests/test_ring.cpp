@@ -1,8 +1,8 @@
 // test_ring.cpp — the lock-free MPMC ring (src/common/ring.hpp).
 //
-// The ring replaces the mutex Channel on the storage-server dispatch and
-// scale-harness completer paths, so it must honor the exact contracts the
-// runtime leans on: FIFO per producer, close-then-drain (a send() that
+// The ring is the repo's one queue primitive, carrying the storage-server
+// dispatch and scale-harness completer paths, so it must honor the exact
+// contracts the runtime leans on: FIFO per producer, close-then-drain (a send() that
 // returned true is ALWAYS drained), tri-state polling, and Clock-seam
 // parking so a blocked worker counts as quiescent under a VirtualClock.
 #include <atomic>

@@ -291,14 +291,7 @@ TEST(Rpc, CoalescedBatchMatchesSync) {
   Fixture fx(32 * 1024, sc);
 
   // Synchronous reference result (its own entry; nothing in flight yet).
-  auto reference = fx.server->serve_active([&] {
-    server::ActiveIoRequest req;
-    req.handle = fx.meta.handle;
-    req.object_offset = 0;
-    req.length = fx.meta.size;
-    req.operation = "sum";
-    return req;
-  }());
+  auto reference = fx.transport->submit(fx.active_env("sum")).wait().active;
   ASSERT_EQ(reference.outcome, server::ActiveOutcome::kCompleted);
 
   // Four identical envelopes in one batch: one kernel run, four replies.
@@ -397,7 +390,7 @@ TEST(Rpc, TokenBucketChargesExtentBytesExactlyOnce) {
 
   ChainOptions options;
   // Virtual bucket with a deep burst: acquire() is pure accounting here.
-  options.network = std::make_shared<TokenBucket>(mb_per_sec(100.0), 64_MiB);
+  options.links = {std::make_shared<TokenBucket>(mb_per_sec(100.0), 64_MiB)};
   auto chain = make_chain({fx.server.get()}, options);
 
   Envelope env;
@@ -431,7 +424,7 @@ TEST(Rpc, WriteChargesExtentBytesExactlyOnceAndCopiesNothing) {
   Fixture fx(4096);  // 32 KiB object on the single data server
 
   ChainOptions options;
-  options.network = std::make_shared<TokenBucket>(mb_per_sec(100.0), 64_MiB);
+  options.links = {std::make_shared<TokenBucket>(mb_per_sec(100.0), 64_MiB)};
   // A retry layer in the chain: kWrite must pass through it exactly once
   // (retries act only on active I/O), so the charge below stays single.
   options.retry.max_attempts = 3;

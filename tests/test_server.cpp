@@ -13,6 +13,7 @@
 #include "common/rng.hpp"
 #include "kernels/sum.hpp"
 #include "pfs/client.hpp"
+#include "rpc/inprocess.hpp"
 #include "server/storage_server.hpp"
 
 namespace dosas::server {
@@ -29,7 +30,7 @@ ContentionEstimator::Config ce_config(const std::string& optimizer = "exhaustive
 }
 
 /// A cluster-less single server over a 1-server volume with `count`
-/// doubles written to "/data".
+/// doubles written to "/data", behind a bare in-process transport.
 struct Fixture {
   explicit Fixture(std::size_t count = 4096, const std::string& optimizer = "exhaustive",
                    StorageServer::Config sc = {})
@@ -40,12 +41,23 @@ struct Fixture {
     meta = m.value();
     server = std::make_unique<StorageServer>(fs, 0, builtins(), ce_config(optimizer),
                                              RateTable::paper_rates(), sc);
+    transport = std::make_unique<rpc::InProcessTransport>(
+        std::vector<StorageServer*>{server.get()});
+  }
+
+  /// One active RPC, blocking until its reply.
+  ActiveIoResponse serve(ActiveIoRequest request) {
+    rpc::Envelope env;
+    env.kind = rpc::OpKind::kActiveIo;
+    env.active = std::move(request);
+    return transport->submit(std::move(env)).wait().active;
   }
 
   pfs::FileSystem fs;
   pfs::Client client;
   pfs::FileMeta meta;
   std::unique_ptr<StorageServer> server;
+  std::unique_ptr<rpc::InProcessTransport> transport;  ///< destroyed before the server
 };
 
 // ---------------------------------------------------------------- rate table
@@ -141,7 +153,7 @@ TEST(StorageServer, ActiveSumCompletesWithCorrectResult) {
   req.object_offset = 0;
   req.length = fx.meta.size;
   req.operation = "sum";
-  auto resp = fx.server->serve_active(req);
+  auto resp = fx.serve(req);
   ASSERT_EQ(resp.outcome, ActiveOutcome::kCompleted) << resp.status.to_string();
 
   auto sum = kernels::SumResult::decode(resp.result);
@@ -160,7 +172,7 @@ TEST(StorageServer, SubRangeActiveRequest) {
   req.object_offset = 100 * sizeof(double);
   req.length = 50 * sizeof(double);
   req.operation = "sum";
-  auto resp = fx.server->serve_active(req);
+  auto resp = fx.serve(req);
   ASSERT_EQ(resp.outcome, ActiveOutcome::kCompleted);
   auto sum = kernels::SumResult::decode(resp.result);
   ASSERT_TRUE(sum.is_ok());
@@ -173,7 +185,7 @@ TEST(StorageServer, UnknownKernelFails) {
   req.handle = fx.meta.handle;
   req.length = fx.meta.size;
   req.operation = "fft";
-  auto resp = fx.server->serve_active(req);
+  auto resp = fx.serve(req);
   EXPECT_EQ(resp.outcome, ActiveOutcome::kFailed);
   EXPECT_EQ(resp.status.code(), ErrorCode::kNotFound);
   EXPECT_EQ(fx.server->stats().active_failed, 1u);
@@ -185,7 +197,7 @@ TEST(StorageServer, UnknownHandleFails) {
   req.handle = 999;
   req.length = 800;
   req.operation = "sum";
-  auto resp = fx.server->serve_active(req);
+  auto resp = fx.serve(req);
   EXPECT_EQ(resp.outcome, ActiveOutcome::kFailed);
 }
 
@@ -195,7 +207,7 @@ TEST(StorageServer, AllNormalPolicyRejectsEverything) {
   req.handle = fx.meta.handle;
   req.length = fx.meta.size;
   req.operation = "sum";
-  auto resp = fx.server->serve_active(req);
+  auto resp = fx.serve(req);
   EXPECT_EQ(resp.outcome, ActiveOutcome::kRejected);
   EXPECT_EQ(resp.status.code(), ErrorCode::kRejected);
   EXPECT_EQ(fx.server->stats().active_rejected, 1u);
@@ -208,7 +220,7 @@ TEST(StorageServer, AllActivePolicyNeverRejects) {
     req.handle = fx.meta.handle;
     req.length = fx.meta.size;
     req.operation = "gaussian2d:width=16";
-    auto resp = fx.server->serve_active(req);
+    auto resp = fx.serve(req);
     EXPECT_EQ(resp.outcome, ActiveOutcome::kCompleted);
   }
   EXPECT_EQ(fx.server->stats().active_completed, 4u);
@@ -247,7 +259,7 @@ TEST(StorageServer, GaussianQueueGetsDemotedUnderLoad) {
       req.handle = fx.meta.handle;
       req.length = fx.meta.size;
       req.operation = "gaussian2d:width=2048";
-      resp[static_cast<std::size_t>(i)] = fx.server->serve_active(req);
+      resp[static_cast<std::size_t>(i)] = fx.serve(req);
     });
   }
   for (auto& t : threads) t.join();
@@ -334,7 +346,7 @@ TEST(StorageServer, StatsCountBytesProcessed) {
   req.handle = fx.meta.handle;
   req.length = fx.meta.size;
   req.operation = "sum";
-  (void)fx.server->serve_active(req);
+  (void)fx.serve(req);
   EXPECT_EQ(fx.server->stats().active_bytes_processed, fx.meta.size);
 }
 
@@ -345,7 +357,7 @@ TEST(StorageServer, ShortObjectEndsCleanly) {
   req.handle = fx.meta.handle;
   req.length = fx.meta.size + 4096;
   req.operation = "sum";
-  auto resp = fx.server->serve_active(req);
+  auto resp = fx.serve(req);
   ASSERT_EQ(resp.outcome, ActiveOutcome::kCompleted);
   auto sum = kernels::SumResult::decode(resp.result);
   ASSERT_TRUE(sum.is_ok());
@@ -363,7 +375,7 @@ TEST(StorageServer, ConcurrentSumsAllComplete) {
       req.handle = fx.meta.handle;
       req.length = fx.meta.size;
       req.operation = "sum";
-      auto resp = fx.server->serve_active(req);
+      auto resp = fx.serve(req);
       if (resp.outcome == ActiveOutcome::kCompleted) ++ok;
     });
   }

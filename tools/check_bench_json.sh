@@ -13,11 +13,14 @@
 # Beyond the schema, freshly produced telemetry is DIFFED against the
 # committed baseline point in bench/trajectory/BENCH_<name>.json (skipped
 # when the validated file IS the baseline): every shared metric and the
-# latency quantiles are reported, and a latency_us.p99 regression beyond
+# latency quantiles are reported. Two differences fail the check: any
+# `fingerprint_*` metric that differs from the baseline at all (they are
+# virtual-time digests, exact by construction, so any difference is a
+# behaviour change), and a latency_us.p99 regression beyond
 # DOSAS_BENCH_P99_TOLERANCE (default 0.25 = +25%) on the rpc_async point —
-# the 8-client contention measurement the data-plane work is judged by —
-# fails the check. Set DOSAS_BENCH_DIFF_REPORT to a path to also write the
-# diff as a report file (CI uploads it with the telemetry artifact).
+# the 8-client contention measurement the data-plane work is judged by.
+# Set DOSAS_BENCH_DIFF_REPORT to a path to also write the diff as a report
+# file (CI uploads it with the telemetry artifact).
 #
 # Usage: tools/check_bench_json.sh [file-or-dir ...]
 #   (no arguments: validates bench/trajectory/ in the repo root)
@@ -173,8 +176,18 @@ for q in ("p50", "p95", "p99"):
         lines.append(f"  latency_us.{q}: {fmt(old, cur)}")
 
 failed = False
-# The enforced gate: the rpc_async 8-client point's p99 must not regress
-# past the tolerance. Everything else is report-only.
+# Exact gate: a virtual-time fingerprint either reproduces bit for bit or
+# the modelled behaviour changed.
+for key in sorted(set(base.get("metrics", {})) | set(new.get("metrics", {}))):
+    if not key.startswith("fingerprint_"):
+        continue
+    old = base.get("metrics", {}).get(key)
+    cur = new.get("metrics", {}).get(key)
+    if old != cur:
+        lines.append(f"  FAIL: metrics.{key} differs from the baseline ({old!r} -> {cur!r})")
+        failed = True
+# Tolerance gate: the rpc_async 8-client point's p99 must not regress past
+# the tolerance. Everything else is report-only.
 if name == "rpc_async":
     old = (base.get("latency_us") or {}).get("p99")
     cur = (new.get("latency_us") or {}).get("p99")
