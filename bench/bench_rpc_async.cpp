@@ -110,13 +110,13 @@ StragglerRun run_straggler(bool hedge) {
   // times out and recovers locally, pulling the straggler's strip over the
   // wire exactly as the hedge's local twin does — so the byte comparison
   // isolates the hedge's cost, and the latency comparison its win.
-  cfg.request_timeout = 0.15;
+  cfg.client.request_timeout = 0.15;
   // Virtual (never-sleeping) per-node link buckets: pure byte accounting,
   // so bytes_charged shows the hedge's extra-byte cost without slowing the
   // wall-clock measurement.
   cfg.network_rate = mb_per_sec(118.0);
   cfg.network_per_node = true;
-  cfg.hedge_reads = hedge;
+  cfg.client.hedge_reads = hedge;
   core::Cluster cluster(cfg);
 
   auto meta = pfs::write_doubles(cluster.pfs_client(), "/straggler", kDoubles,

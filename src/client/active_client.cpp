@@ -41,9 +41,8 @@ void emit_request_e2e(const obs::TraceContext& root, double t0_us, const std::st
 /// Client-compute pacing (ActiveClientConfig::pace_compute_rates): the
 /// progress hook that charges each locally-processed chunk its cost at the
 /// table's C_{C,op} rate, on the injected clock. Null when pacing is off
-/// or the operation has no table entry.
-kernels::ProgressFn compute_pacer(const std::shared_ptr<const server::RateTable>& rates,
-                                  const std::string& operation) {
+/// (no table) or the operation has no table entry.
+kernels::ProgressFn compute_pacer(const server::RateTable* rates, const std::string& operation) {
   if (rates == nullptr) return nullptr;
   auto op_rates = rates->get(operation.substr(0, operation.find(':')));
   if (!op_rates.is_ok() || op_rates.value().compute <= 0.0) return nullptr;
@@ -101,13 +100,7 @@ ActiveClient::ActiveClient(pfs::Client& pfs, const kernels::Registry& registry,
     assert(servers_[i] != nullptr);
     assert(servers_[i]->server_id() == i && "servers must be indexed by data-server id");
   }
-  rpc::ChainOptions options;
-  options.retry = config_.retry;
-  options.retry_seed = config_.retry_seed;
-  options.circuit_threshold = config_.circuit_threshold;
-  options.faults = config_.faults;
-  options.links = config_.links;
-  auto chain = rpc::make_chain(servers_, options);
+  auto chain = rpc::make_chain(servers_, config_.chain);
   transport_ = std::move(chain.head);
   breaker_ = std::move(chain.breaker);
 }
@@ -677,7 +670,7 @@ Result<std::vector<std::uint8_t>> ActiveClient::finish_leg_locally(
         }
         return std::move(reply.read.data);
       },
-      stop, compute_pacer(config_.pace_compute_rates, operation));
+      stop, compute_pacer(pace_rates(), operation));
   auto result = [&]() -> Result<std::vector<std::uint8_t>> {
     if (!streamed.is_ok()) return streamed.status();
     if (streamed.value().stopped) return error(ErrorCode::kCancelled, "local finish stopped early");
@@ -734,7 +727,7 @@ Result<std::vector<std::uint8_t>> ActiveClient::local_kernel(const pfs::FileMeta
       // itself; a chunk on one strip crosses the ChunkReader boundary as
       // the server's own slab ref — no staging copy.
       [&](Bytes pos, Bytes len) -> Result<BufferRef> { return read_ref(meta, pos, len); },
-      /*stop=*/nullptr, compute_pacer(config_.pace_compute_rates, operation));
+      /*stop=*/nullptr, compute_pacer(pace_rates(), operation));
   if (!streamed.is_ok()) return streamed.status();
   auto result = kernel.value()->finalize();
   if (obs_on) obs::observe("client.local_kernel_us", obs::now_us() - t0);

@@ -28,9 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "common/retry.hpp"
-#include "common/token_bucket.hpp"
-#include "fault/fault.hpp"
 #include "kernels/registry.hpp"
 #include "kernels/stream.hpp"
 #include "obs/trace.hpp"
@@ -50,47 +47,27 @@ struct ActiveClientConfig {
   /// transient. A second interruption/rejection falls back to local
   /// completion as usual.
   bool resubmit_interrupted = false;
-  /// Link model (usually the cluster's), installed as the transport's
-  /// NetChargeTransport: bucket i charges every reply payload byte node i
-  /// sends (results, checkpoints, raw reads). A shared link is the same
-  /// bucket in every slot; one bucket per node is the scale harness's
-  /// shape. Empty: no charging.
-  std::vector<std::shared_ptr<TokenBucket>> links;
 
-  /// Pace local kernel execution at the table's C_{C,op} compute rate:
-  /// each chunk a client-side kernel consumes sleeps chunk/C on the
-  /// injected clock. This is the client half of the calibrated-pacing seam
-  /// (see StorageServerConfig::pace_kernel_rates); operations without
-  /// table rates run unpaced. Null disables.
-  std::shared_ptr<const server::RateTable> pace_compute_rates;
+  /// Pace local kernel execution at the C_{C,op} compute rate of the rate
+  /// table the storage nodes' CEs schedule with: each chunk a client-side
+  /// kernel consumes sleeps chunk/C on the injected clock. This is the
+  /// client half of the calibrated-pacing seam (see
+  /// StorageServerConfig::pace_kernel_rates); operations without table
+  /// rates run unpaced.
+  bool pace_compute_rates = false;
 
-  /// Remote retry discipline (the transport's RetryTransport): a failed
-  /// active RPC whose error is transient (kUnavailable/kTimedOut, see
-  /// is_transient) is re-sent up to retry.max_attempts times with capped
-  /// exponential backoff before the client falls back to local compute.
-  /// Default (max_attempts = 1): off.
-  RetryPolicy retry;
+  /// The transport chain the client builds over its servers, handed to
+  /// rpc::make_chain unchanged: remote retry with capped exponential
+  /// backoff for transient active-RPC failures, the demote-to-local circuit
+  /// breaker, injected network loss, and the per-node link model that
+  /// charges every reply payload byte. All off by default.
+  rpc::ChainOptions chain;
 
   /// Per-request deadline stamped on every active envelope (0 = wait
   /// forever): a request still unanswered after this many seconds is
   /// cancelled server-side, fails kTimedOut, and the client recovers
   /// locally.
   Seconds request_timeout = 0;
-
-  /// Shared fault injector (usually the cluster's), installed as the
-  /// transport's FaultTransport: models transient network errors on the
-  /// client->server active RPC. May be null.
-  std::shared_ptr<fault::FaultInjector> faults;
-
-  /// Demote-to-local circuit breaker (the transport's
-  /// CircuitBreakerTransport): after this many *consecutive* kUnavailable
-  /// failures from one storage node, the client stops offloading to it and
-  /// serves requests via normal I/O + local kernel (every 4th request
-  /// re-probes the node so recovery is noticed). 0 disables.
-  int circuit_threshold = 0;
-
-  /// Seed for retry backoff jitter (deterministic per client).
-  std::uint64_t retry_seed = 1234;
 
   /// Straggler-aware hedged striped reads: when a fan-out leg is still
   /// outstanding past a p99-derived delay, duplicate it down the
@@ -152,8 +129,7 @@ class ActiveClient {
 
   /// `servers[i]` must be the Active Storage Server wrapping PFS data
   /// server i of the same file system `pfs` operates on. The client builds
-  /// its transport chain over them (rpc::make_chain) from the config's
-  /// retry/fault/network/breaker knobs.
+  /// its transport chain over them (rpc::make_chain) from config.chain.
   ActiveClient(pfs::Client& pfs, const kernels::Registry& registry,
                std::vector<server::StorageServer*> servers, Config config = {});
 
@@ -363,6 +339,13 @@ class ActiveClient {
       const pfs::FileMeta& meta, const PendingReadEx::Leg& leg, const std::string& operation,
       LocalCause cause, Bytes from, const std::vector<std::uint8_t>* checkpoint = nullptr,
       const kernels::StopCheck& stop = nullptr);
+
+  /// The rate table local kernels are paced with: the one the storage
+  /// nodes' CEs schedule with (a Cluster gives every node the same
+  /// table). Null when config_.pace_compute_rates is off.
+  const server::RateTable* pace_rates() const {
+    return config_.pace_compute_rates ? &servers_.front()->estimator().rates() : nullptr;
+  }
 
   pfs::Client& pfs_;
   const kernels::Registry& registry_;

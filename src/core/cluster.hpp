@@ -25,25 +25,12 @@ namespace dosas::core {
 struct ClusterConfig {
   std::uint32_t storage_nodes = 1;
   Bytes strip_size = 64_KiB;
-  std::size_t cores_per_node = 2;        ///< kernel worker pool size per node
-  Bytes server_chunk_size = 1_MiB;       ///< kernel streaming granularity
-  Bytes client_chunk_size = 1_MiB;
   SchemeKind scheme = SchemeKind::kDosas;
-  BytesPerSec bandwidth = mb_per_sec(118.0);
-  server::RateTable rates = server::RateTable::paper_rates();
   /// Override the scheme's optimizer (for ablations); empty = by scheme.
   std::string optimizer_override;
-  /// Interruption hysteresis for every storage node (see
-  /// StorageServerConfig::interrupt_min_remaining).
-  double interrupt_min_remaining = 0.0;
-  /// Active-result cache per storage node, in entries (0 disables).
-  std::size_t result_cache_entries = 0;
-  /// Coalesce identical in-flight active requests on every storage node
-  /// (see StorageServerConfig::coalesce_identical).
-  bool coalesce_identical = false;
-  /// Client offers interrupted kernels back to the storage node once
-  /// before finishing them locally (cooperative resumption).
-  bool resubmit_interrupted = false;
+  /// The rate table every node's CE schedules with; paced kernels, on the
+  /// servers and on the client, run at its rates.
+  server::RateTable rates = server::RateTable::paper_rates();
   /// Shared network rate model for the real runtime: every byte any
   /// storage node sends is charged against one TokenBucket at this rate
   /// (0 disables). kVirtual accounts delay without sleeping (the default
@@ -55,13 +42,6 @@ struct ClusterConfig {
   /// the scale harness models (requests to different nodes must not
   /// serialize on one shared link).
   bool network_per_node = false;
-  /// Pace kernel execution at the rate table's calibrated rates (see
-  /// StorageServerConfig::pace_kernel_rates for the server side and
-  /// ActiveClientConfig::pace_compute_rates for the client side): under a
-  /// VirtualClock the real runtime then reproduces the sim_model's timing
-  /// assumptions end to end.
-  bool pace_kernel_rates = false;
-  bool pace_client_compute = false;
   /// Per-node kernel-CPU capacity factors (see
   /// StorageServerConfig::capacity_factor): node i paces its kernels at
   /// rate × node_capacity_factor[i]. Nodes beyond the vector (or entries
@@ -72,22 +52,28 @@ struct ClusterConfig {
   /// every storage server (crashes, kernel throws, stalls, checkpoint
   /// corruption), and the ASC (network errors). Null = no faults.
   std::shared_ptr<fault::FaultInjector> faults;
-  /// Client-side recovery knobs (see ActiveClientConfig).
-  RetryPolicy client_retry;
-  Seconds request_timeout = 0;
-  int circuit_threshold = 0;
-  /// Periodic CE probe tick per storage node, in seconds (0 disables; see
-  /// StorageServerConfig::probe_interval). Runs on the injected clock.
-  Seconds probe_interval = 0.0;
-  /// Straggler-aware hedged striped reads (see ActiveClientConfig::hedge_*
-  /// for the per-knob semantics): race a local twin against any fan-out leg
-  /// still outstanding past a p99-derived delay, cancel the loser.
-  bool hedge_reads = false;
-  double hedge_p99_multiplier = 3.0;
-  Seconds hedge_min_delay = 0.002;
-  std::uint64_t hedge_min_samples = 8;
-  Seconds hedge_cold_delay = 0;
-  std::size_t hedge_max_per_read = 1;
+
+  /// Template for every storage node's config, copied once per node.
+  /// Cluster owns cores, chunk_size, result_cache_entries and
+  /// coalesce_identical (written from the fields below) and
+  /// capacity_factor (from node_capacity_factor).
+  server::StorageServerConfig server;
+  /// Template for the ASC's config, copied once. Cluster owns chunk_size
+  /// (from client_chunk_size), chain.links (the link model above) and
+  /// chain.faults (faults).
+  client::ActiveClientConfig client;
+
+  // perfbench sets these five by name, so they stay here as the only way
+  // to set these values on a Cluster: Cluster writes them over the
+  // templates above.
+  std::size_t cores_per_node = 2;        ///< kernel worker pool size per node
+  Bytes server_chunk_size = 1_MiB;       ///< kernel streaming granularity
+  Bytes client_chunk_size = 1_MiB;
+  /// Active-result cache per storage node, in entries (0 disables).
+  std::size_t result_cache_entries = 0;
+  /// Coalesce identical in-flight active requests on every storage node
+  /// (see StorageServerConfig::coalesce_identical).
+  bool coalesce_identical = false;
 };
 
 class Cluster {

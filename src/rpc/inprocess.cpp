@@ -84,16 +84,18 @@ PendingReply InProcessTransport::track(const Envelope& env) {
   return reply;
 }
 
-void InProcessTransport::dispatch_active(Envelope& env, PendingReply& reply) {
-  server::StorageServer& server = *servers_.at(env.target);
-  PendingReply completion = reply;  // shared state: safe to copy into the callback
-  auto ticket = server.submit_active(std::move(env.active),
-                                     [completion](server::ActiveIoResponse resp) mutable {
-                                       Reply r;
-                                       r.kind = OpKind::kActiveIo;
-                                       r.active = std::move(resp);
-                                       completion.complete(std::move(r));
-                                     });
+server::StorageServer::ActiveCompletion InProcessTransport::completion_for(PendingReply reply) {
+  return [reply = std::move(reply)](server::ActiveIoResponse resp) mutable {
+    Reply r;
+    r.kind = OpKind::kActiveIo;
+    r.active = std::move(resp);
+    reply.complete(std::move(r));
+  };
+}
+
+void InProcessTransport::wire_ticket(server::StorageServer& server,
+                                     const server::StorageServer::ActiveTicket& ticket,
+                                     PendingReply& reply, const Envelope& env) {
   if (ticket.coalesced) {
     std::lock_guard lock(mu_);
     ++coalesced_;
@@ -104,6 +106,12 @@ void InProcessTransport::dispatch_active(Envelope& env, PendingReply& reply) {
         [s, ticket](const Status& reason) { return s->cancel_active(ticket, reason); });
   }
   if (env.deadline > 0.0 && !reply.ready()) arm_deadline(reply, env);
+}
+
+void InProcessTransport::dispatch_active(Envelope& env, PendingReply& reply) {
+  server::StorageServer& server = *servers_.at(env.target);
+  wire_ticket(server, server.submit_active(std::move(env.active), completion_for(reply)), reply,
+              env);
 }
 
 void InProcessTransport::dispatch_read(Envelope& env, PendingReply& reply) {
@@ -181,14 +189,8 @@ std::vector<PendingReply> InProcessTransport::submit_batch(std::vector<Envelope>
         envs[idx].rpc_id = next_rpc_id_++;
       }
       replies[idx] = track(envs[idx]);
-      PendingReply completion = replies[idx];
       requests.push_back(std::move(envs[idx].active));
-      dones.push_back([completion](server::ActiveIoResponse resp) mutable {
-        Reply r;
-        r.kind = OpKind::kActiveIo;
-        r.active = std::move(resp);
-        completion.complete(std::move(r));
-      });
+      dones.push_back(completion_for(replies[idx]));
     }
     {
       std::lock_guard lock(mu_);
@@ -196,20 +198,7 @@ std::vector<PendingReply> InProcessTransport::submit_batch(std::vector<Envelope>
     }
     auto tickets = server.submit_active_batch(std::move(requests), std::move(dones));
     for (std::size_t j = 0; j < indices.size(); ++j) {
-      const std::size_t idx = indices[j];
-      if (tickets[j].coalesced) {
-        std::lock_guard lock(mu_);
-        ++coalesced_;
-      }
-      if (tickets[j].id != 0) {
-        server::StorageServer* s = &server;
-        const auto ticket = tickets[j];
-        replies[idx].set_canceller(
-            [s, ticket](const Status& reason) { return s->cancel_active(ticket, reason); });
-      }
-      if (envs[idx].deadline > 0.0 && !replies[idx].ready()) {
-        arm_deadline(replies[idx], envs[idx]);
-      }
+      wire_ticket(server, tickets[j], replies[indices[j]], envs[indices[j]]);
     }
   }
 

@@ -10,7 +10,10 @@
 //     the server-side work and fails the reply kTimedOut — the async
 //     generalization of the old blocking timed wait,
 //   * batch submission (one submit_active_batch per target node, so each
-//     node's CE makes one decision over its sub-group),
+//     node's CE makes one decision over its sub-group). A single active
+//     envelope is admitted by submit_active, the server's one-request case
+//     of the same admission; both share one completion-and-ticket wiring
+//     (completion_for + wire_ticket: coalesce count, canceller, deadline),
 //   * the chain's ground-truth counters: in-flight + high-water mark,
 //     per-active-RPC latency quantiles (P²), coalesced/batched counts.
 #pragma once
@@ -46,6 +49,15 @@ class InProcessTransport : public Transport {
  private:
   /// Shared bookkeeping for one submission: started / finished / deadline.
   PendingReply track(const Envelope& env);
+
+  /// The server completion that fulfils `reply` with the active response.
+  static server::StorageServer::ActiveCompletion completion_for(PendingReply reply);
+
+  /// After the server admitted an active envelope, single or batched:
+  /// count a coalesce, install the canceller and arm the deadline.
+  void wire_ticket(server::StorageServer& server,
+                   const server::StorageServer::ActiveTicket& ticket, PendingReply& reply,
+                   const Envelope& env);
 
   /// Dispatch one kActiveIo envelope into its server (single-submit path).
   void dispatch_active(Envelope& env, PendingReply& reply);

@@ -123,17 +123,17 @@ ScaleReport run_scale(const ScaleScenario& scenario, const Schedule& schedule) {
     cfg.server_chunk_size = scenario.chunk_size;
     cfg.client_chunk_size = scenario.chunk_size;
     cfg.scheme = scenario.scheme;
-    cfg.rates = scenario.pacing.rates;
     // DOSAS at scale uses the exact polynomial optimizer: the default
     // exhaustive search is 2^k per CE evaluation.
     if (scenario.scheme == core::SchemeKind::kDosas) cfg.optimizer_override = "sortmin";
-    cfg.pace_kernel_rates = scenario.pacing.pace_server;
-    cfg.pace_client_compute = scenario.pacing.pace_client;
-    if (scenario.pacing.node_link > 0.0) {
-      cfg.network_rate = scenario.pacing.node_link;
-      cfg.network_mode = TokenBucket::Mode::kReal;  // sleeps -> virtual jumps
-      cfg.network_per_node = true;
-    }
+    // The paper calibration (cfg.rates defaults to the paper's table):
+    // kernels at S_{C,op}, local kernels at C_{C,op}, and a 118 MB/s
+    // uplink per node.
+    cfg.server.pace_kernel_rates = true;
+    cfg.client.pace_compute_rates = true;
+    cfg.network_rate = mb_per_sec(118.0);
+    cfg.network_mode = TokenBucket::Mode::kReal;  // sleeps -> virtual jumps
+    cfg.network_per_node = true;
     cfg.faults = scenario.faults;
     core::Cluster cluster(cfg);
 

@@ -7,10 +7,10 @@
 // of logical clients in seconds of wall time.
 //
 // The paper-rate calibration is what makes the numbers mean something:
-// with PacingConfig's defaults the cluster runs with
-//   * kernel execution paced at the rate table's S_{C,op}
+// run_scale always builds the cluster with
+//   * kernel execution paced at the paper rate table's S_{C,op}
 //     (StorageServerConfig::pace_kernel_rates),
-//   * client-side local kernels paced at C_{C,op}
+//   * client-side local kernels paced at the same table's C_{C,op}
 //     (ActiveClientConfig::pace_compute_rates),
 //   * one 118 MB/s TokenBucket per storage node in kReal mode
 //     (ClusterConfig::network_per_node), whose sleeps are deterministic
@@ -24,7 +24,8 @@
 // Concurrency shape (chosen for determinism, see docs/SCALE.md):
 //   * ONE submitter thread (the caller) walks the schedule open-loop:
 //     clock().sleep() to each arrival, read_ex_async(), push the pending
-//     handle to an unbounded channel. It never blocks on completions.
+//     handle onto its completer's SPSC ring. It never blocks on
+//     completions.
 //   * N completer threads model the client-side compute pool, sharded by
 //     CompleterAffinity (per target node for fingerprint-grade
 //     determinism, per logical client for the paper's one-CPU-per-client
@@ -46,18 +47,8 @@
 #include "core/scheme.hpp"
 #include "fault/fault.hpp"
 #include "scale/traffic.hpp"
-#include "server/rate_table.hpp"
 
 namespace dosas::scale {
-
-/// The calibrated-rate knobs merging sim_model assumptions into the real
-/// runtime (all on by default — that is the point of the harness).
-struct PacingConfig {
-  server::RateTable rates = server::RateTable::paper_rates();
-  BytesPerSec node_link = mb_per_sec(118.0);  ///< per-node uplink (0 = unmodeled)
-  bool pace_server = true;   ///< kernel chunks sleep at S_{C,op}
-  bool pace_client = true;   ///< local kernel chunks sleep at C_{C,op}
-};
 
 /// How requests map onto completer threads.
 ///
@@ -87,7 +78,6 @@ struct ScaleScenario {
   std::size_t completer_threads = 32;  ///< client-side compute pool
   CompleterAffinity affinity = CompleterAffinity::kNode;
   std::uint64_t seed = 1;
-  PacingConfig pacing;
   TrafficConfig traffic;  ///< used by the generate-and-run overload
   std::shared_ptr<fault::FaultInjector> faults;  ///< optional, cluster-wide
 };

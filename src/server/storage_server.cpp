@@ -112,7 +112,7 @@ StorageServer::~StorageServer() {
     std::lock_guard lock(mu_);
     for (auto& [id, entry] : entries_) {
       entry->reject_before_start = true;
-      if (entry->interrupt) entry->interrupt->store(true);
+      entry->interrupt.store(true);
     }
   }
   pool_.shutdown();
@@ -162,7 +162,7 @@ std::shared_ptr<StorageServer::Entry> StorageServer::find_coalesce_locked(
   if (request.is_resumption()) return nullptr;
   for (auto& [id, entry] : entries_) {
     if (entry->state == EntryState::kDone) continue;
-    if (entry->reject_before_start || entry->interrupt->load()) continue;
+    if (entry->reject_before_start || entry->interrupt.load()) continue;
     const auto& r = entry->request;
     if (r.is_resumption()) continue;
     if (r.handle == request.handle && r.object_offset == request.object_offset &&
@@ -173,28 +173,44 @@ std::shared_ptr<StorageServer::Entry> StorageServer::find_coalesce_locked(
   return nullptr;
 }
 
-std::pair<sched::RequestId, std::shared_ptr<StorageServer::Entry>> StorageServer::register_entry(
-    ActiveIoRequest request, Waiter waiter) {
-  auto entry = std::make_shared<Entry>();
+std::shared_ptr<StorageServer::Entry> StorageServer::coalesce_or_register(
+    ActiveIoRequest& request, ActiveCompletion& done, ActiveTicket& ticket) {
   const Seconds now = clock().now();
   std::lock_guard lock(mu_);
-  const sched::RequestId id = request.id != 0 ? request.id : next_id_++;
-  request.id = id;
-  entry->request = request;
-  entry->interrupt = std::make_shared<std::atomic<bool>>(false);
-  entry->progress = std::make_shared<std::atomic<Bytes>>(0);
-  entry->waiters.push_back(std::move(waiter));
-  entry->enqueued_at = now;
-  entries_.emplace(id, entry);
-  obs_queue_depth_locked();
-  obs::flight_record(obs::FlightEventKind::kStateTransition, request.trace.trace_id,
-                     server_id_, id, "active request queued");
-  if (obs::metrics_enabled() && request.submitted_at >= 0) {
-    // Transport stage: client-side hand-off to server-side admission.
-    obs::observe("stage.transport_us." + stage_class(request.operation),
-                 (now - request.submitted_at) * 1e6, request.trace.trace_id);
+  ticket.waiter = next_waiter_++;
+  // Coalesce onto an identical in-flight request when possible: one kernel
+  // run, many waiters.
+  if (auto twin = find_coalesce_locked(request)) {
+    ticket.id = twin->request.id;
+    ticket.coalesced = true;
+    twin->waiters.push_back(Waiter{ticket.waiter, std::move(done)});
+    ++stats_.active_coalesced;
+    if (obs::metrics_enabled()) obs::count(obs_name_ + ".coalesced");
+    obs::flight_record(obs::FlightEventKind::kCoalesce, request.trace.trace_id, server_id_,
+                       twin->request.id, "coalesced onto in-flight twin");
+    if (obs::tracing_enabled() && request.trace.valid()) {
+      obs::Tracer::global().instant(obs_name_ + ".coalesce", "server",
+                                    request.trace.child("coalesce"));
+    }
+    return nullptr;
   }
-  return {id, entry};
+  ticket.id = request.id != 0 ? request.id : next_id_++;
+  auto entry = std::make_shared<Entry>();
+  entry->request = std::move(request);
+  entry->request.id = ticket.id;
+  entry->waiters.push_back(Waiter{ticket.waiter, std::move(done)});
+  entry->enqueued_at = now;
+  entries_.emplace(ticket.id, entry);
+  obs_queue_depth_locked();
+  const ActiveIoRequest& queued = entry->request;
+  obs::flight_record(obs::FlightEventKind::kStateTransition, queued.trace.trace_id, server_id_,
+                     ticket.id, "active request queued");
+  if (obs::metrics_enabled() && queued.submitted_at >= 0) {
+    // Transport stage: client-side hand-off to server-side admission.
+    obs::observe("stage.transport_us." + stage_class(queued.operation),
+                 (now - queued.submitted_at) * 1e6, queued.trace.trace_id);
+  }
+  return entry;
 }
 
 std::shared_ptr<fault::FaultInjector> StorageServer::faults() const {
@@ -315,6 +331,7 @@ std::optional<ActiveIoResponse> StorageServer::cache_lookup(const ActiveIoReques
   }
   it->second.last_use = ++cache_tick_;
   ++stats_.cache_hits;
+  ++stats_.active_completed;
   if (obs::metrics_enabled()) obs::count("arena.cache_hits");
   ActiveIoResponse resp;
   resp.outcome = ActiveOutcome::kCompleted;
@@ -345,56 +362,9 @@ void StorageServer::cache_insert(const ActiveIoRequest& request, std::uint64_t v
 
 StorageServer::ActiveTicket StorageServer::submit_active(ActiveIoRequest request,
                                                          ActiveCompletion done) {
-  if (auto fi = faults(); fi != nullptr && fi->node_crashed(server_id_, true)) {
-    {
-      std::lock_guard lock(mu_);
-      ++stats_.active_failed;
-      ++stats_.crash_rejections;
-    }
-    if (done) done(crashed_response(server_id_));
-    return {};
-  }
-  if (auto cached = cache_lookup(request)) {
-    {
-      std::lock_guard lock(mu_);
-      ++stats_.active_completed;
-    }
-    if (obs::metrics_enabled()) obs::count(obs_name_ + ".completed");
-    if (done) done(std::move(*cached));
-    return {};
-  }
-
-  // Coalesce onto an identical in-flight request when possible: one kernel
-  // run, many waiters.
-  {
-    std::lock_guard lock(mu_);
-    if (auto twin = find_coalesce_locked(request)) {
-      ActiveTicket ticket;
-      ticket.id = twin->request.id;
-      ticket.waiter = next_waiter_++;
-      ticket.coalesced = true;
-      twin->waiters.push_back(Waiter{ticket.waiter, std::move(done)});
-      ++stats_.active_coalesced;
-      if (obs::metrics_enabled()) obs::count(obs_name_ + ".coalesced");
-      obs::flight_record(obs::FlightEventKind::kCoalesce, request.trace.trace_id,
-                         server_id_, twin->request.id, "coalesced onto in-flight twin");
-      if (obs::tracing_enabled() && request.trace.valid()) {
-        obs::Tracer::global().instant(obs_name_ + ".coalesce", "server",
-                                      request.trace.child("coalesce"));
-      }
-      return ticket;
-    }
-  }
-
   ActiveTicket ticket;
-  ticket.waiter = [&] {
-    std::lock_guard lock(mu_);
-    return next_waiter_++;
-  }();
-  auto [id, entry] = register_entry(std::move(request), Waiter{ticket.waiter, std::move(done)});
-  ticket.id = id;
-  evaluate_policy();
-  if (!launch_or_reject(id, entry)) return {};  // completed synchronously
+  std::shared_ptr<Entry> entry;
+  admit({&request, 1}, {&done, 1}, {&ticket, 1}, {&entry, 1});
   return ticket;
 }
 
@@ -402,70 +372,42 @@ std::vector<StorageServer::ActiveTicket> StorageServer::submit_active_batch(
     std::vector<ActiveIoRequest> requests, std::vector<ActiveCompletion> dones) {
   assert(requests.size() == dones.size());
   std::vector<ActiveTicket> tickets(requests.size());
-  if (auto fi = faults(); fi != nullptr && fi->node_crashed(server_id_, true)) {
-    {
-      std::lock_guard lock(mu_);
-      stats_.active_failed += requests.size();
-      stats_.crash_rejections += requests.size();
-    }
-    for (auto& done : dones) {
-      if (done) done(crashed_response(server_id_));
-    }
-    return tickets;
-  }
+  std::vector<std::shared_ptr<Entry>> entries(requests.size());
+  admit(requests, dones, tickets, entries);
+  return tickets;
+}
 
-  // Register everything first (serving cache hits and coalescing inline),
-  // then evaluate the policy ONCE over the combined queue, then launch.
-  // This is the collective-admission path: N requests landing together get
-  // one scheduling decision instead of N admit-then-interrupt rounds.
-  struct Registered {
-    std::size_t index;
-    sched::RequestId id;
-    std::shared_ptr<Entry> entry;
-  };
-  std::vector<Registered> registered;
-  registered.reserve(requests.size());
+void StorageServer::admit(std::span<ActiveIoRequest> requests, std::span<ActiveCompletion> dones,
+                          std::span<ActiveTicket> tickets,
+                          std::span<std::shared_ptr<Entry>> entries) {
+  // Register everything first (serving refusals, cache hits and coalescing
+  // inline), then evaluate the policy ONCE over the combined queue, then
+  // launch: N requests landing together get one scheduling decision
+  // instead of N admit-then-interrupt rounds.
+  const auto fi = faults();
+  bool registered = false;
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (auto cached = cache_lookup(requests[i])) {
+    if (fi != nullptr && fi->node_crashed(server_id_, true)) {
       {
         std::lock_guard lock(mu_);
-        ++stats_.active_completed;
+        ++stats_.active_failed;
+        ++stats_.crash_rejections;
       }
+      if (dones[i]) dones[i](crashed_response(server_id_));
+    } else if (auto cached = cache_lookup(requests[i])) {
       if (obs::metrics_enabled()) obs::count(obs_name_ + ".completed");
       if (dones[i]) dones[i](std::move(*cached));
-      continue;
+    } else {
+      entries[i] = coalesce_or_register(requests[i], dones[i], tickets[i]);
+      registered = registered || entries[i] != nullptr;
     }
-    {
-      std::lock_guard lock(mu_);
-      if (auto twin = find_coalesce_locked(requests[i])) {
-        tickets[i].id = twin->request.id;
-        tickets[i].waiter = next_waiter_++;
-        tickets[i].coalesced = true;
-        twin->waiters.push_back(Waiter{tickets[i].waiter, std::move(dones[i])});
-        ++stats_.active_coalesced;
-        if (obs::metrics_enabled()) obs::count(obs_name_ + ".coalesced");
-        obs::flight_record(obs::FlightEventKind::kCoalesce, requests[i].trace.trace_id,
-                           server_id_, twin->request.id, "coalesced onto in-flight twin");
-        if (obs::tracing_enabled() && requests[i].trace.valid()) {
-          obs::Tracer::global().instant(obs_name_ + ".coalesce", "server",
-                                        requests[i].trace.child("coalesce"));
-        }
-        continue;
-      }
-      tickets[i].waiter = next_waiter_++;
-    }
-    auto [id, entry] =
-        register_entry(std::move(requests[i]), Waiter{tickets[i].waiter, std::move(dones[i])});
-    tickets[i].id = id;
-    registered.push_back({i, id, entry});
   }
-
-  if (!registered.empty()) evaluate_policy();
-
-  for (auto& reg : registered) {
-    if (!launch_or_reject(reg.id, reg.entry)) tickets[reg.index] = {};
+  if (!registered) return;
+  evaluate_policy();
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    // A request the policy rejected before launch completed synchronously.
+    if (entries[i] != nullptr && !launch_or_reject(tickets[i].id, entries[i])) tickets[i] = {};
   }
-  return tickets;
 }
 
 bool StorageServer::cancel_active(const ActiveTicket& ticket, const Status& reason) {
@@ -499,7 +441,7 @@ bool StorageServer::cancel_active(const ActiveTicket& ticket, const Status& reas
     // running kernel stops at its next chunk boundary and its late
     // completion finds no entry and is discarded.
     entry->reject_before_start = true;
-    entry->interrupt->store(true);
+    entry->interrupt.store(true);
     entries_.erase(it);
     obs_queue_depth_locked();
   }
@@ -588,7 +530,7 @@ void StorageServer::evaluate_policy() {
     std::lock_guard lock(mu_);
     for (const auto& [id, entry] : entries_) {
       if (entry->state == EntryState::kDone || entry->reject_before_start) continue;
-      if (entry->interrupt->load()) continue;  // already being interrupted
+      if (entry->interrupt.load()) continue;  // already being interrupted
       items.push_back({id, entry->request.operation, entry->request.length});
     }
   }
@@ -635,12 +577,12 @@ void StorageServer::evaluate_policy() {
       } else if (entry.state == EntryState::kRunning) {
         // Hysteresis: nearly-finished kernels are cheaper to let complete
         // than to checkpoint, ship, and re-run remotely.
-        const Bytes done = entry.progress->load(std::memory_order_relaxed);
+        const Bytes done = entry.progress.load(std::memory_order_relaxed);
         const Bytes total = entry.request.length;
         const Bytes remaining = total > done ? total - done : 0;
         if (static_cast<double>(remaining) >
             config_.interrupt_min_remaining * static_cast<double>(total)) {
-          entry.interrupt->store(true);
+          entry.interrupt.store(true);
           if (obs::metrics_enabled()) obs::count(obs_name_ + ".interrupts_signalled");
           obs::flight_record(obs::FlightEventKind::kInterrupt, entry.request.trace.trace_id,
                              server_id_, requests[i].id, "running kernel interrupt signalled");
@@ -657,8 +599,6 @@ void StorageServer::evaluate_policy() {
 void StorageServer::run_kernel(sched::RequestId id) {
   std::shared_ptr<Entry> entry;
   ActiveIoRequest request;
-  std::shared_ptr<std::atomic<bool>> interrupt;
-  std::shared_ptr<std::atomic<Bytes>> progress;
   std::shared_ptr<fault::FaultInjector> fi;
   Seconds enqueued_at = 0;
   bool rejected = false;  // snapshot under mu_: cancel_active writes the flag
@@ -674,8 +614,6 @@ void StorageServer::run_kernel(sched::RequestId id) {
       entry->state = EntryState::kRunning;
     }
     request = entry->request;
-    interrupt = entry->interrupt;
-    progress = entry->progress;
     enqueued_at = entry->enqueued_at;
     fi = faults_;
   }
@@ -687,6 +625,8 @@ void StorageServer::run_kernel(sched::RequestId id) {
     return;
   }
   if (fi != nullptr) fi->note_kernel_start(server_id_);
+  std::atomic<bool>& interrupt = entry->interrupt;
+  std::atomic<Bytes>& progress = entry->progress;
 
   // Queue-wait stage: registration -> this launch, emitted as a span that
   // joins the request's causal tree and closes the client's flow arrow on
@@ -762,7 +702,7 @@ void StorageServer::run_kernel(sched::RequestId id) {
         enum class StopCause { kNone, kInterrupt, kCrash };
         StopCause cause = StopCause::kNone;
         auto stop = [&]() -> bool {
-          if (interrupt->load()) {
+          if (interrupt.load()) {
             cause = StopCause::kInterrupt;
             return true;
           }
@@ -776,7 +716,7 @@ void StorageServer::run_kernel(sched::RequestId id) {
             // promptly. Slices run on the injected clock — deterministic
             // jumps under DST.
             Seconds stall = fi->inject_stall(server_id_);
-            while (stall > 0.0 && !interrupt->load()) {
+            while (stall > 0.0 && !interrupt.load()) {
               const Seconds slice = std::min(stall, 0.005);
               clock().sleep(slice);
               stall -= slice;
@@ -808,7 +748,7 @@ void StorageServer::run_kernel(sched::RequestId id) {
           }
         }
         auto note_progress = [&](Bytes chunk, Bytes total) {
-          progress->store(total, std::memory_order_relaxed);
+          progress.store(total, std::memory_order_relaxed);
           if (pace_rate > 0.0 && chunk > 0) {
             clock().sleep(static_cast<double>(chunk) / pace_rate);
           }
@@ -819,7 +759,7 @@ void StorageServer::run_kernel(sched::RequestId id) {
         if (!streamed.is_ok()) {
           resp.outcome = ActiveOutcome::kFailed;
           resp.status = streamed.status();
-          done_bytes = progress->load(std::memory_order_relaxed);
+          done_bytes = progress.load(std::memory_order_relaxed);
           return;
         }
         const Bytes processed = streamed.value().processed;

@@ -19,6 +19,12 @@
 // such as rejection at arrival and cache hits). This is the
 // Transport-facing interface the rpc layer drives.
 //
+// Every arrival takes one admission path, admit(): a single request is
+// the one-element case of a collective batch. Per request it checks for
+// an injected crash, serves a cache hit, coalesces onto an identical
+// in-flight twin or registers a new entry; then it evaluates the policy
+// ONCE over the combined queue and launches what stayed active.
+//
 // Identical in-flight requests — same (handle, extent, operation) — are
 // COALESCED: the second submission attaches as an extra waiter on the
 // first's entry and both receive the one kernel run's result. Repeated
@@ -32,6 +38,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -150,6 +157,7 @@ class StorageServer {
   /// Async active I/O: enqueue the request under the CE policy and return.
   /// `done` fires exactly once with the outcome (completion, rejection,
   /// interruption, or failure). Identical in-flight requests coalesce.
+  /// The one-request case of submit_active_batch.
   ActiveTicket submit_active(ActiveIoRequest request, ActiveCompletion done);
 
   /// Async batch (collective) submission: every request is registered
@@ -203,11 +211,20 @@ class StorageServer {
     ActiveIoRequest request;
     EntryState state = EntryState::kQueued;
     bool reject_before_start = false;
-    std::shared_ptr<std::atomic<bool>> interrupt;
-    std::shared_ptr<std::atomic<Bytes>> progress;  ///< bytes processed so far
+    std::atomic<bool> interrupt{false};
+    std::atomic<Bytes> progress{0};  ///< bytes processed so far
     std::vector<Waiter> waiters;
     Seconds enqueued_at = 0;  ///< clock().now() at registration (queue-wait stage)
   };
+
+  /// The one admission path (paper §III-C's decision, taken once over a
+  /// group). Per request, in order: crash check, cache hit, coalesce onto
+  /// a twin, register. Then one evaluate_policy() over the combined queue,
+  /// then launch. The spans align positionally; the caller provides the
+  /// `entries` slots (left null where nothing was registered), so the
+  /// one-request case allocates nothing for the group.
+  void admit(std::span<ActiveIoRequest> requests, std::span<ActiveCompletion> dones,
+             std::span<ActiveTicket> tickets, std::span<std::shared_ptr<Entry>> entries);
 
   /// Build the CE queue snapshot, run the scheduler per operation group,
   /// and apply demotions (reject queued / interrupt running). Caller must
@@ -217,9 +234,12 @@ class StorageServer {
   /// Under mu_: find an in-flight entry this request can coalesce onto.
   std::shared_ptr<Entry> find_coalesce_locked(const ActiveIoRequest& request);
 
-  /// Insert a request into the entry table (assigning an id if needed).
-  std::pair<sched::RequestId, std::shared_ptr<Entry>> register_entry(ActiveIoRequest request,
-                                                                     Waiter waiter);
+  /// In one mu_ section: attach `done` to an identical in-flight twin
+  /// (returns null) or move `request` and `done` into a new entry,
+  /// assigning an id if it has none (returns the entry). Fills `ticket`
+  /// either way.
+  std::shared_ptr<Entry> coalesce_or_register(ActiveIoRequest& request, ActiveCompletion& done,
+                                              ActiveTicket& ticket);
 
   /// If the entry was demoted before starting, complete its waiters with a
   /// rejection and return false; otherwise submit its kernel to the pool.
@@ -233,7 +253,8 @@ class StorageServer {
   /// Count one waiter's outcome into stats_/obs; caller holds mu_.
   void count_outcome_locked(const ActiveIoResponse& response);
 
-  /// Result-cache lookup; nullopt on miss/disabled/stale. Updates stats.
+  /// Result-cache lookup; nullopt on miss/disabled/stale. Updates stats
+  /// (a hit counts as a completed request).
   std::optional<ActiveIoResponse> cache_lookup(const ActiveIoRequest& request);
 
   /// Insert a completed result if the object is still at `version`. The

@@ -22,7 +22,8 @@
 //
 // A third test asserts the economic point of virtual time: a scenario
 // whose injected delays span seconds of virtual time completes an order
-// of magnitude faster in physical time.
+// of magnitude faster in physical time. A fourth pins the fingerprints to
+// recorded FNV-1a digests, so they hold across builds, not just runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,6 +43,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "pfs/client.hpp"
+#include "scale/traffic.hpp"
 
 namespace dosas::core {
 namespace {
@@ -130,16 +132,16 @@ ScenarioOutput run_serialized(std::uint64_t seed, Seconds stall_ms = 40.0) {
     cfg.client_chunk_size = 64_KiB;
     cfg.scheme = SchemeKind::kActive;
     cfg.optimizer_override = "all-active";  // admission independent of timing
-    cfg.probe_interval = 0.05;              // periodic CE tick, virtual jumps
+    cfg.server.probe_interval = 0.05;       // periodic CE tick, virtual jumps
     std::ostringstream spec_text;
     spec_text << "seed=" << seed << ",kernel_throw=0.15,stall=0.25,stall_ms=" << stall_ms;
     auto spec = fault::FaultSpec::parse(spec_text.str());
     EXPECT_TRUE(spec.is_ok()) << spec.status().to_string();
     cfg.faults = std::make_shared<fault::FaultInjector>(spec.value());
-    cfg.client_retry.max_attempts = 6;
-    cfg.client_retry.base_delay = 0.02;
-    cfg.client_retry.sleep_real = true;  // backoff advances virtual time
-    cfg.request_timeout = 30.0;          // armed on every envelope, never fires
+    cfg.client.chain.retry.max_attempts = 6;
+    cfg.client.chain.retry.base_delay = 0.02;
+    cfg.client.chain.retry.sleep_real = true;  // backoff advances virtual time
+    cfg.client.request_timeout = 30.0;         // armed on every envelope, never fires
     Cluster cluster(cfg);
 
     auto meta = pfs::write_doubles(cluster.pfs_client(), "/dst", 32'768,
@@ -189,14 +191,14 @@ ScenarioOutput run_striped(std::uint64_t seed) {
     cfg.client_chunk_size = 64_KiB;
     cfg.scheme = SchemeKind::kActive;
     cfg.optimizer_override = "all-active";
-    cfg.probe_interval = 0.05;
+    cfg.server.probe_interval = 0.05;
     std::ostringstream spec_text;
     spec_text << "seed=" << seed << ",kernel_throw=0.08,stall=0.10,stall_ms=30,net_error=0.04";
     auto spec = fault::FaultSpec::parse(spec_text.str());
     EXPECT_TRUE(spec.is_ok()) << spec.status().to_string();
     cfg.faults = std::make_shared<fault::FaultInjector>(spec.value());
-    cfg.client_retry.max_attempts = 6;
-    cfg.client_retry.base_delay = 0.005;
+    cfg.client.chain.retry.max_attempts = 6;
+    cfg.client.chain.retry.base_delay = 0.005;
     Cluster cluster(cfg);
 
     constexpr std::size_t kFiles = 6;
@@ -287,8 +289,8 @@ CausalOutput run_causal(std::uint64_t seed) {
     auto spec = fault::FaultSpec::parse(spec_text.str());
     EXPECT_TRUE(spec.is_ok()) << spec.status().to_string();
     cfg.faults = std::make_shared<fault::FaultInjector>(spec.value());
-    cfg.client_retry.max_attempts = 6;
-    cfg.client_retry.base_delay = 0.005;
+    cfg.client.chain.retry.max_attempts = 6;
+    cfg.client.chain.retry.base_delay = 0.005;
     Cluster cluster(cfg);
 
     constexpr std::size_t kCount = 1'048'576;  // 8 MiB per file, single extent
@@ -416,6 +418,20 @@ TEST(Dst, EveryServerSpanHangsOffAClientRoot) {
   // At least one request's tree spans the app thread and a worker thread
   // end to end (client issue -> rpc -> server queue/kernel).
   EXPECT_GE(multi_thread_trees, 1u);
+}
+
+TEST(Dst, FingerprintsMatchRecordedDigests) {
+  // The bit-identity tests above compare two runs of one build. These
+  // digests pin the fingerprints across builds and commits: a change that
+  // moves any counter, metric, trace span or virtual instant fails here.
+  // They were identical in Release, Debug and TSan builds.
+  const auto digest = [](const std::string& fp) { return scale::fnv1a(fp.data(), fp.size()); };
+  const auto serialized_2012 = run_serialized(2012).fingerprint;
+  EXPECT_EQ(digest(serialized_2012), 0x21b03b7aac3668ceULL) << serialized_2012;
+  const auto serialized_7777 = run_serialized(7777).fingerprint;
+  EXPECT_EQ(digest(serialized_7777), 0x1cd2e32cb223d7c0ULL) << serialized_7777;
+  const auto striped = run_striped(424242).fingerprint;
+  EXPECT_EQ(digest(striped), 0x4351d2406ab23e90ULL) << striped;
 }
 
 TEST(Dst, VirtualTimeBeatsWallClockTenfold) {

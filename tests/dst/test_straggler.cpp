@@ -106,12 +106,12 @@ StragglerOutput run_straggler(std::uint64_t seed, bool hedge) {
     cfg.client_chunk_size = 64_KiB;
     cfg.scheme = SchemeKind::kActive;
     cfg.optimizer_override = "all-active";  // admission independent of timing
-    cfg.pace_kernel_rates = true;           // legs take calibrated virtual time
+    cfg.server.pace_kernel_rates = true;    // legs take calibrated virtual time
     cfg.node_capacity_factor = {1.0, 1.0, 1.0, 0.5};  // node 3: half-speed CPU
     cfg.network_rate = mb_per_sec(118.0);   // the TokenBucket link model,
     cfg.network_per_node = true;            // one bucket per node uplink
-    cfg.request_timeout = 0.5;              // the baseline's only straggler escape
-    cfg.hedge_reads = hedge;
+    cfg.client.request_timeout = 0.5;       // the baseline's only straggler escape
+    cfg.client.hedge_reads = hedge;
     Cluster cluster(cfg);
 
     auto meta = pfs::write_doubles(cluster.pfs_client(), "/straggler", kCount,

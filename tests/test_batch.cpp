@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 
 #include "client/mpiio.hpp"
 #include "core/cluster.hpp"
+#include "fault/fault.hpp"
 #include "kernels/gaussian2d.hpp"
 #include "kernels/sum.hpp"
 
@@ -19,11 +21,13 @@ using core::SchemeKind;
 
 struct Fixture {
   explicit Fixture(SchemeKind scheme, std::size_t files, std::size_t count,
-                   std::uint32_t nodes = 1) {
+                   std::uint32_t nodes = 1,
+                   std::shared_ptr<fault::FaultInjector> faults = nullptr) {
     ClusterConfig cfg;
     cfg.scheme = scheme;
     cfg.storage_nodes = nodes;
     cfg.server_chunk_size = 64_KiB;
+    cfg.faults = std::move(faults);
     cluster = std::make_unique<Cluster>(cfg);
     for (std::size_t f = 0; f < files; ++f) {
       auto meta =
@@ -141,6 +145,33 @@ TEST(BatchReadEx, StripedItemsFallBackToIndividualPath) {
   ASSERT_TRUE(sum.is_ok());
   EXPECT_EQ(sum.value().count, 50'000u);
   EXPECT_EQ(fx.cluster->asc().stats().striped_fanouts, 1u);
+}
+
+TEST(BatchReadEx, CrashedNodeRefusesEveryItemAndClientFinishesLocally) {
+  // A batch sent to a crashed node is refused one request at a time, as
+  // single submissions are: the injector and the server each count one
+  // crash rejection per item, and every item finishes by local fallback.
+  constexpr std::size_t kFiles = 3, kCount = 10'000;
+  Fixture fx(SchemeKind::kActive, kFiles, kCount, /*nodes=*/1,
+             std::make_shared<fault::FaultInjector>(fault::FaultSpec{}));
+  fx.cluster->fault_injector()->crash_node(0);
+
+  std::vector<ActiveClient::BatchItem> items;
+  for (std::size_t f = 0; f < kFiles; ++f) {
+    items.push_back({fx.metas[f], 0, fx.metas[f].size, "sum"});
+  }
+  auto results = fx.cluster->asc().read_ex_batch(items);
+  ASSERT_EQ(results.size(), kFiles);
+  for (std::size_t f = 0; f < kFiles; ++f) {
+    ASSERT_TRUE(results[f].is_ok()) << f << ": " << results[f].status().to_string();
+    auto sum = kernels::SumResult::decode(results[f].value());
+    ASSERT_TRUE(sum.is_ok());
+    EXPECT_EQ(sum.value().count, kCount);
+    EXPECT_NEAR(sum.value().sum, fx.expected_sum(f, kCount), 1e-6) << f;
+  }
+  EXPECT_EQ(fx.cluster->asc().stats().failed_remote_retries, kFiles);
+  EXPECT_EQ(fx.cluster->fault_injector()->stats().crash_rejections, kFiles);
+  EXPECT_EQ(fx.cluster->storage_server(0).stats().crash_rejections, kFiles);
 }
 
 TEST(BatchReadEx, BatchAcrossMultipleNodesGroupsPerNode) {

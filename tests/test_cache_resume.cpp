@@ -293,7 +293,7 @@ TEST(Resumption, ClientResubmitPathProducesExactResults) {
   ClusterConfig cfg;
   cfg.scheme = SchemeKind::kDosas;
   cfg.server_chunk_size = 16_KiB;
-  cfg.resubmit_interrupted = true;
+  cfg.client.resubmit_interrupted = true;
   auto cluster = std::make_unique<Cluster>(cfg);
 
   constexpr std::size_t kFiles = 8, kWidth = 256, kRows = 1024;
@@ -355,9 +355,9 @@ TEST(Resumption, ResubmitKeepsTheLinkLedgerBalanced) {
   cfg.optimizer_override = "sortmin";
   cfg.server_chunk_size = 16_KiB;
   cfg.client_chunk_size = 16_KiB;
-  cfg.pace_kernel_rates = true;
-  cfg.pace_client_compute = true;
-  cfg.resubmit_interrupted = true;
+  cfg.server.pace_kernel_rates = true;
+  cfg.client.pace_compute_rates = true;
+  cfg.client.resubmit_interrupted = true;
   cfg.network_rate = mb_per_sec(118.0);
   cfg.network_mode = TokenBucket::Mode::kVirtual;
   Cluster cluster(cfg);

@@ -71,9 +71,9 @@ TEST(Hedge, LoserIsCancelledAndNeverDoubleCharged) {
     cfg.optimizer_override = "all-active";
     cfg.network_rate = mb_per_sec(118.0);
     cfg.network_per_node = true;
-    cfg.hedge_reads = true;
-    cfg.hedge_min_samples = 1000;  // quantiles never warm: stay on the cold path
-    cfg.hedge_cold_delay = 0.01;   // hedge a cold leg after 10ms
+    cfg.client.hedge_reads = true;
+    cfg.client.hedge_min_samples = 1000;  // quantiles never warm: stay on the cold path
+    cfg.client.hedge_cold_delay = 0.01;   // hedge a cold leg after 10ms
     core::Cluster cluster(cfg);
 
     auto meta = pfs::write_doubles(cluster.pfs_client(), "/hedge", kCount, value_at);

@@ -200,9 +200,9 @@ std::unique_ptr<Cluster> cluster_with_faults(const FaultyOpts& opts, std::size_t
     EXPECT_TRUE(spec.is_ok()) << spec.status().to_string();
     cfg.faults = std::make_shared<fault::FaultInjector>(spec.value());
   }
-  cfg.client_retry.max_attempts = 1 + opts.retries;
-  cfg.request_timeout = opts.timeout;
-  cfg.circuit_threshold = opts.circuit_threshold;
+  cfg.client.chain.retry.max_attempts = 1 + opts.retries;
+  cfg.client.request_timeout = opts.timeout;
+  cfg.client.chain.circuit_threshold = opts.circuit_threshold;
   auto cluster = std::make_unique<Cluster>(cfg);
   auto meta = pfs::write_doubles(cluster->pfs_client(), "/data", count,
                                  [](std::size_t i) { return static_cast<double>(i % 7); });

@@ -115,7 +115,7 @@ fi
 # load-bearing knobs: a scenario that silently drops one of these loses
 # either determinism or the paper-shaped contention it exists to model.
 if [ -f docs/SCALE.md ]; then
-  for token in VirtualClock CompleterAffinity PacingConfig \
+  for token in VirtualClock CompleterAffinity \
                pace_kernel_rates pace_compute_rates network_per_node \
                generate_traffic ScrambledZipf dosas-bench-v1; do
     if ! grep -q "$token" docs/SCALE.md; then

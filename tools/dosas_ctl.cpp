@@ -278,10 +278,10 @@ int cmd_runtime(const Args& args) {
     std::printf("fault spec: %s\n", cfg.faults->spec().to_string().c_str());
   }
   const int retries = static_cast<int>(args.get_int("retries", 0));
-  if (retries > 0) cfg.client_retry.max_attempts = 1 + retries;
+  if (retries > 0) cfg.client.chain.retry.max_attempts = 1 + retries;
   const double timeout_ms = args.get_double("timeout-ms", 0.0);
-  if (timeout_ms > 0.0) cfg.request_timeout = timeout_ms / 1000.0;
-  cfg.circuit_threshold = static_cast<int>(args.get_int("circuit", 0));
+  if (timeout_ms > 0.0) cfg.client.request_timeout = timeout_ms / 1000.0;
+  cfg.client.chain.circuit_threshold = static_cast<int>(args.get_int("circuit", 0));
 
   // --virtual-clock: run the workload in DST mode — backoff, deadlines and
   // probe ticks jump instead of sleeping. Declared before the Cluster so
