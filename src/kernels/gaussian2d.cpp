@@ -1,6 +1,5 @@
 #include "kernels/gaussian2d.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -11,10 +10,23 @@ namespace {
 // the per-item operation mix identical to the paper's Table III.
 constexpr double kW[3][3] = {{1, 2, 1}, {2, 4, 2}, {1, 2, 1}};
 constexpr double kDivisor = 16.0;
+
+// Adjacent output columns, computed together (GCC/Clang vector extension).
+using Lanes = double __attribute__((vector_size(2 * sizeof(double))));
+constexpr std::size_t kLanes = sizeof(Lanes) / sizeof(double);
+
+// One filtered value from its 3×3 neighbourhood (l/m/r = left/mid/right
+// column). Scalar columns and vector lanes both run this one expression.
+template <class T>
+T stencil(T al, T am, T ar, T cl, T cm, T cr, T bl, T bm, T br) {
+  return (kW[0][0] * al + kW[0][1] * am + kW[0][2] * ar + kW[1][0] * cl + kW[1][1] * cm +
+          kW[1][2] * cr + kW[2][0] * bl + kW[2][1] * bm + kW[2][2] * br) /
+         kDivisor;
+}
 }  // namespace
 
-Gaussian2dKernel::Gaussian2dKernel(std::size_t width, Mode mode) : width_(width), mode_(mode) {
-  assert(width_ >= 1);
+Gaussian2dKernel::Gaussian2dKernel(std::size_t width, Mode mode) : mode_(mode), window_(width) {
+  assert(width >= 1);
   reset();
 }
 
@@ -37,11 +49,7 @@ Result<std::unique_ptr<Kernel>> Gaussian2dKernel::from_spec(const OperationSpec&
 }
 
 void Gaussian2dKernel::reset() {
-  consumed_ = 0;
-  pending_.clear();
-  prev1_.clear();
-  prev2_.clear();
-  rows_seen_ = 0;
+  window_.reset();
   out_rows_ = 0;
   out_count_ = 0;
   sum_ = 0.0;
@@ -51,70 +59,46 @@ void Gaussian2dKernel::reset() {
 }
 
 void Gaussian2dKernel::consume(std::span<const std::uint8_t> chunk) {
-  consumed_ += chunk.size();
-  const std::size_t row_bytes = width_ * sizeof(double);
-
-  // Fast path: no pending partial row and the chunk is row-aligned slices.
-  std::size_t pos = 0;
-  if (!pending_.empty()) {
-    const std::size_t need = row_bytes - pending_.size();
-    const std::size_t take = std::min(need, chunk.size());
-    pending_.insert(pending_.end(), chunk.begin(),
-                    chunk.begin() + static_cast<std::ptrdiff_t>(take));
-    pos = take;
-    if (pending_.size() == row_bytes) {
-      std::vector<double> row(width_);
-      std::memcpy(row.data(), pending_.data(), row_bytes);
-      pending_.clear();
-      push_row(row.data());
-    } else {
-      return;
-    }
-  }
-
-  std::vector<double> row(width_);
-  while (chunk.size() - pos >= row_bytes) {
-    std::memcpy(row.data(), chunk.data() + pos, row_bytes);
-    push_row(row.data());
-    pos += row_bytes;
-  }
-
-  if (pos < chunk.size()) {
-    pending_.assign(chunk.begin() + static_cast<std::ptrdiff_t>(pos), chunk.end());
-  }
+  window_.consume(chunk, [this](auto... rows) { filter_center(rows...); });
 }
 
-void Gaussian2dKernel::push_row(const double* row) {
-  ++rows_seen_;
-  if (rows_seen_ >= 3) {
-    filter_center(prev2_.data(), prev1_.data(), row);
-  }
-  prev2_.swap(prev1_);
-  prev1_.assign(row, row + width_);
-}
+void Gaussian2dKernel::filter_center(const double* a, const double* c, const double* b) {
+  // Full mode appends the row to full_out_; digest mode overwrites one row.
+  const std::size_t w = width(), at = mode_ == Mode::kFull ? full_out_.size() : 0;
+  full_out_.resize(at + w);
+  double* out = full_out_.data() + at;
 
-void Gaussian2dKernel::filter_center(const double* above, const double* center,
-                                     const double* below) {
+  // Edge columns clamp to the row; the interior runs kLanes columns at a time.
+  const auto load = [](const double* p) { Lanes v; std::memcpy(&v, p, sizeof v); return v; };
+  const auto column = [&](std::size_t x) {
+    const std::size_t l = x == 0 ? 0 : x - 1, r = x + 1 == w ? x : x + 1;
+    return stencil(a[l], a[x], a[r], c[l], c[x], c[r], b[l], b[x], b[r]);
+  };
+  // Values are folded into sum/min/max in column order, with the same
+  // compares and adds as one pixel at a time. Which NaN an add of two NaNs
+  // returns is the compiler's choice; a recorded-digest test pins it.
+  const double first = column(0);
+  double sum = sum_, lo = out_count_ == 0 ? first : min_, hi = out_count_ == 0 ? first : max_;
+  const auto emit = [&](std::size_t x, double v) {
+    sum += v;
+    lo = v < lo ? v : lo;
+    hi = v > hi ? v : hi;
+    out[x] = v;
+  };
+  emit(0, first);
+  std::size_t x = 1;
+  for (; x + kLanes < w; x += kLanes) {
+    const Lanes v = stencil(load(a + x - 1), load(a + x), load(a + x + 1), load(c + x - 1),
+                            load(c + x), load(c + x + 1), load(b + x - 1), load(b + x),
+                            load(b + x + 1));
+    for (std::size_t i = 0; i < kLanes; ++i) emit(x + i, v[i]);
+  }
+  for (; x < w; ++x) emit(x, column(x));
+  sum_ = sum;
+  min_ = lo;
+  max_ = hi;
+  out_count_ += w;
   ++out_rows_;
-  const std::size_t w = width_;
-  for (std::size_t x = 0; x < w; ++x) {
-    // Edge-clamp columns.
-    const std::size_t xl = x == 0 ? 0 : x - 1;
-    const std::size_t xr = x + 1 == w ? x : x + 1;
-    const double v = (kW[0][0] * above[xl] + kW[0][1] * above[x] + kW[0][2] * above[xr] +
-                      kW[1][0] * center[xl] + kW[1][1] * center[x] + kW[1][2] * center[xr] +
-                      kW[2][0] * below[xl] + kW[2][1] * below[x] + kW[2][2] * below[xr]) /
-                     kDivisor;
-    if (out_count_ == 0) {
-      min_ = max_ = v;
-    } else {
-      if (v < min_) min_ = v;
-      if (v > max_) max_ = v;
-    }
-    sum_ += v;
-    ++out_count_;
-    if (mode_ == Mode::kFull) full_out_.push_back(v);
-  }
 }
 
 std::vector<std::uint8_t> Gaussian2dKernel::drain_stream() {
@@ -135,7 +119,7 @@ std::vector<std::uint8_t> Gaussian2dKernel::finalize() const {
     w.put_f64(max_);
   } else {
     w.put_u64(out_rows_);
-    w.put_u64(static_cast<std::uint64_t>(width_));
+    w.put_u64(static_cast<std::uint64_t>(width()));
     for (double v : full_out_) w.put_f64(v);
   }
   return w.take();
@@ -146,7 +130,7 @@ Bytes Gaussian2dKernel::result_size(Bytes input) const {
     return 2 * sizeof(std::uint64_t) + 3 * sizeof(double);
   }
   // Full mode: (rows - 2) output rows for `rows` input rows.
-  const Bytes row_bytes = width_ * sizeof(double);
+  const Bytes row_bytes = width() * sizeof(double);
   const Bytes rows = input / row_bytes;
   const Bytes out_rows = rows >= 2 ? rows - 2 : 0;
   return 2 * sizeof(std::uint64_t) + out_rows * row_bytes;
@@ -154,74 +138,43 @@ Bytes Gaussian2dKernel::result_size(Bytes input) const {
 
 Checkpoint Gaussian2dKernel::checkpoint() const {
   Checkpoint ck;
-  ck.set_string("kernel", name());
-  ck.set_i64("width", static_cast<std::int64_t>(width_));
+  window_.save(ck, name());
   ck.set_string("mode", mode_ == Mode::kDigest ? "digest" : "full");
-  ck.set_i64("consumed", static_cast<std::int64_t>(consumed_));
-  ck.set_i64("rows_seen", static_cast<std::int64_t>(rows_seen_));
   ck.set_i64("out_rows", static_cast<std::int64_t>(out_rows_));
   ck.set_i64("out_count", static_cast<std::int64_t>(out_count_));
   ck.set_f64("sum", sum_);
   ck.set_f64("min", min_);
   ck.set_f64("max", max_);
-  ck.set_blob("pending", pending_);
-
-  auto rows_to_blob = [](const std::vector<double>& row) {
-    std::vector<std::uint8_t> b(row.size() * sizeof(double));
-    if (!row.empty()) std::memcpy(b.data(), row.data(), b.size());
-    return b;
-  };
-  ck.set_blob("prev1", rows_to_blob(prev1_));
-  ck.set_blob("prev2", rows_to_blob(prev2_));
-  if (mode_ == Mode::kFull) ck.set_blob("full_out", rows_to_blob(full_out_));
+  if (mode_ == Mode::kFull) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(full_out_.data());
+    ck.set_blob("full_out", std::vector<std::uint8_t>(p, p + full_out_.size() * sizeof(double)));
+  }
   return ck;
 }
 
 Status Gaussian2dKernel::restore(const Checkpoint& ck) {
-  if (ck.get_string("kernel") != name()) {
-    return error(ErrorCode::kInvalidArgument, "checkpoint is not a gaussian2d checkpoint");
-  }
-  const auto width = ck.get_i64("width", -1);
-  if (width != static_cast<std::int64_t>(width_)) {
-    return error(ErrorCode::kInvalidArgument, "gaussian2d: checkpoint width mismatch");
-  }
-  const std::string mode_s = ck.get_string("mode");
-  if ((mode_ == Mode::kDigest) != (mode_s == "digest")) {
+  if ((mode_ == Mode::kDigest) != (ck.get_string("mode") == "digest")) {
     return error(ErrorCode::kInvalidArgument, "gaussian2d: checkpoint mode mismatch");
   }
-  consumed_ = static_cast<Bytes>(ck.get_i64("consumed"));
-  rows_seen_ = static_cast<std::size_t>(ck.get_i64("rows_seen"));
+  const auto* full = ck.get_blob("full_out");
+  if (mode_ == Mode::kFull && (full == nullptr || full->size() % sizeof(double) != 0)) {
+    return error(ErrorCode::kInvalidArgument, "gaussian2d: checkpoint output missing or torn");
+  }
+  if (Status s = window_.load(ck, name()); !s.is_ok()) return s;
   out_rows_ = static_cast<std::uint64_t>(ck.get_i64("out_rows"));
   out_count_ = static_cast<std::uint64_t>(ck.get_i64("out_count"));
   sum_ = ck.get_f64("sum");
   min_ = ck.get_f64("min");
   max_ = ck.get_f64("max");
-
-  auto blob_to_rows = [](const std::vector<std::uint8_t>& b, std::vector<double>& out) {
-    out.resize(b.size() / sizeof(double));
-    if (!out.empty()) std::memcpy(out.data(), b.data(), out.size() * sizeof(double));
-  };
-  const auto* pending = ck.get_blob("pending");
-  const auto* prev1 = ck.get_blob("prev1");
-  const auto* prev2 = ck.get_blob("prev2");
-  if (pending == nullptr || prev1 == nullptr || prev2 == nullptr) {
-    return error(ErrorCode::kInvalidArgument, "gaussian2d: checkpoint missing row state");
-  }
-  pending_ = *pending;
-  blob_to_rows(*prev1, prev1_);
-  blob_to_rows(*prev2, prev2_);
   if (mode_ == Mode::kFull) {
-    const auto* full = ck.get_blob("full_out");
-    if (full == nullptr) {
-      return error(ErrorCode::kInvalidArgument, "gaussian2d: checkpoint missing output");
-    }
-    blob_to_rows(*full, full_out_);
+    full_out_.resize(full->size() / sizeof(double));
+    if (!full->empty()) std::memcpy(full_out_.data(), full->data(), full->size());
   }
   return Status::ok();
 }
 
 std::unique_ptr<Kernel> Gaussian2dKernel::clone() const {
-  return std::make_unique<Gaussian2dKernel>(width_, mode_);
+  return std::make_unique<Gaussian2dKernel>(width(), mode_);
 }
 
 std::vector<double> Gaussian2dKernel::filter_reference(const std::vector<double>& grid,

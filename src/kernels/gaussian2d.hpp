@@ -16,12 +16,17 @@
 //     is what makes active Gaussian worth offloading (h(x) constant).
 //   * kFull: the filtered rows themselves (h(x) ≈ x), used by correctness
 //     tests and by consumers that need the full filtered image.
+//
+// Rows come from a RowWindow (row_window.hpp), read in place; no pointer
+// into a chunk is kept past consume(). Vector lanes filter adjacent columns
+// with the per-pixel loop's products, sums and divide in its order, and the
+// fold into sum/min/max runs in column order, so results are bit-exact.
+// restore() also refuses a full_out blob that is not whole doubles.
 #pragma once
-
-#include <deque>
 
 #include "kernels/kernel.hpp"
 #include "kernels/operation.hpp"
+#include "kernels/row_window.hpp"
 
 namespace dosas::kernels {
 
@@ -48,7 +53,7 @@ class Gaussian2dKernel final : public Kernel {
   std::string name() const override { return "gaussian2d"; }
   void reset() override;
   void consume(std::span<const std::uint8_t> chunk) override;
-  Bytes consumed() const override { return consumed_; }
+  Bytes consumed() const override { return window_.consumed(); }
   std::vector<std::uint8_t> finalize() const override;
   Bytes result_size(Bytes input) const override;
   Checkpoint checkpoint() const override;
@@ -62,7 +67,7 @@ class Gaussian2dKernel final : public Kernel {
   bool streams_output() const override { return mode_ == Mode::kFull; }
   std::vector<std::uint8_t> drain_stream() override;
 
-  std::size_t width() const { return width_; }
+  std::size_t width() const { return window_.width(); }
   Mode mode() const { return mode_; }
 
   /// Reference implementation over a whole image (for tests): filters
@@ -71,17 +76,10 @@ class Gaussian2dKernel final : public Kernel {
                                               std::size_t width);
 
  private:
-  void push_row(const double* row);
   void filter_center(const double* above, const double* center, const double* below);
 
-  std::size_t width_;
   Mode mode_;
-  Bytes consumed_ = 0;
-
-  std::vector<std::uint8_t> pending_;  // bytes of the incomplete current row
-  std::vector<double> prev1_;          // last complete row
-  std::vector<double> prev2_;          // row before that
-  std::size_t rows_seen_ = 0;
+  RowWindow window_;
 
   // Digest accumulators.
   std::uint64_t out_rows_ = 0;
@@ -90,7 +88,7 @@ class Gaussian2dKernel final : public Kernel {
   double min_ = 0.0;
   double max_ = 0.0;
 
-  // Full-mode output (filtered rows, row-major).
+  // Full-mode output (filtered rows, row-major); digest mode's current row.
   std::vector<double> full_out_;
 };
 

@@ -1,15 +1,14 @@
 #include "kernels/sobel2d.hpp"
 
-#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 
 namespace dosas::kernels {
 
 Sobel2dKernel::Sobel2dKernel(std::size_t width, double threshold)
-    : width_(width), threshold_(threshold) {
-  assert(width_ >= 1);
+    : threshold_(threshold), window_(width) {
+  assert(width >= 1);
   reset();
 }
 
@@ -24,11 +23,7 @@ Result<std::unique_ptr<Kernel>> Sobel2dKernel::from_spec(const OperationSpec& sp
 }
 
 void Sobel2dKernel::reset() {
-  consumed_ = 0;
-  pending_.clear();
-  prev1_.clear();
-  prev2_.clear();
-  rows_seen_ = 0;
+  window_.reset();
   out_rows_ = 0;
   out_count_ = 0;
   edges_ = 0;
@@ -37,50 +32,13 @@ void Sobel2dKernel::reset() {
 }
 
 void Sobel2dKernel::consume(std::span<const std::uint8_t> chunk) {
-  consumed_ += chunk.size();
-  const std::size_t row_bytes = width_ * sizeof(double);
-
-  std::size_t pos = 0;
-  if (!pending_.empty()) {
-    const std::size_t need = row_bytes - pending_.size();
-    const std::size_t take = std::min(need, chunk.size());
-    pending_.insert(pending_.end(), chunk.begin(),
-                    chunk.begin() + static_cast<std::ptrdiff_t>(take));
-    pos = take;
-    if (pending_.size() == row_bytes) {
-      std::vector<double> row(width_);
-      std::memcpy(row.data(), pending_.data(), row_bytes);
-      pending_.clear();
-      push_row(row.data());
-    } else {
-      return;
-    }
-  }
-
-  std::vector<double> row(width_);
-  while (chunk.size() - pos >= row_bytes) {
-    std::memcpy(row.data(), chunk.data() + pos, row_bytes);
-    push_row(row.data());
-    pos += row_bytes;
-  }
-  if (pos < chunk.size()) {
-    pending_.assign(chunk.begin() + static_cast<std::ptrdiff_t>(pos), chunk.end());
-  }
-}
-
-void Sobel2dKernel::push_row(const double* row) {
-  ++rows_seen_;
-  if (rows_seen_ >= 3) {
-    process_center(prev2_.data(), prev1_.data(), row);
-  }
-  prev2_.swap(prev1_);
-  prev1_.assign(row, row + width_);
+  window_.consume(chunk, [this](auto... rows) { process_center(rows...); });
 }
 
 void Sobel2dKernel::process_center(const double* above, const double* center,
                                    const double* below) {
   ++out_rows_;
-  const std::size_t w = width_;
+  const std::size_t w = width();
   for (std::size_t x = 0; x < w; ++x) {
     const std::size_t xl = x == 0 ? 0 : x - 1;
     const std::size_t xr = x + 1 == w ? x : x + 1;
@@ -114,60 +72,32 @@ Bytes Sobel2dKernel::result_size(Bytes input) const {
 
 Checkpoint Sobel2dKernel::checkpoint() const {
   Checkpoint ck;
-  ck.set_string("kernel", name());
-  ck.set_i64("width", static_cast<std::int64_t>(width_));
+  window_.save(ck, name());
   ck.set_f64("threshold", threshold_);
-  ck.set_i64("consumed", static_cast<std::int64_t>(consumed_));
-  ck.set_i64("rows_seen", static_cast<std::int64_t>(rows_seen_));
   ck.set_i64("out_rows", static_cast<std::int64_t>(out_rows_));
   ck.set_i64("out_count", static_cast<std::int64_t>(out_count_));
   ck.set_i64("edges", static_cast<std::int64_t>(edges_));
   ck.set_f64("max_mag", max_mag_);
   ck.set_f64("sum_mag", sum_mag_);
-  ck.set_blob("pending", pending_);
-  auto row_blob = [](const std::vector<double>& row) {
-    std::vector<std::uint8_t> b(row.size() * sizeof(double));
-    if (!row.empty()) std::memcpy(b.data(), row.data(), b.size());
-    return b;
-  };
-  ck.set_blob("prev1", row_blob(prev1_));
-  ck.set_blob("prev2", row_blob(prev2_));
   return ck;
 }
 
 Status Sobel2dKernel::restore(const Checkpoint& ck) {
-  if (ck.get_string("kernel") != name()) {
-    return error(ErrorCode::kInvalidArgument, "checkpoint is not a sobel2d checkpoint");
+  if (std::bit_cast<std::uint64_t>(ck.get_f64("threshold")) !=
+      std::bit_cast<std::uint64_t>(threshold_)) {
+    return error(ErrorCode::kInvalidArgument, "sobel2d: checkpoint threshold mismatch");
   }
-  if (ck.get_i64("width", -1) != static_cast<std::int64_t>(width_)) {
-    return error(ErrorCode::kInvalidArgument, "sobel2d: checkpoint width mismatch");
-  }
-  threshold_ = ck.get_f64("threshold");
-  consumed_ = static_cast<Bytes>(ck.get_i64("consumed"));
-  rows_seen_ = static_cast<std::size_t>(ck.get_i64("rows_seen"));
+  if (Status s = window_.load(ck, name()); !s.is_ok()) return s;
   out_rows_ = static_cast<std::uint64_t>(ck.get_i64("out_rows"));
   out_count_ = static_cast<std::uint64_t>(ck.get_i64("out_count"));
   edges_ = static_cast<std::uint64_t>(ck.get_i64("edges"));
   max_mag_ = ck.get_f64("max_mag");
   sum_mag_ = ck.get_f64("sum_mag");
-  const auto* pending = ck.get_blob("pending");
-  const auto* prev1 = ck.get_blob("prev1");
-  const auto* prev2 = ck.get_blob("prev2");
-  if (pending == nullptr || prev1 == nullptr || prev2 == nullptr) {
-    return error(ErrorCode::kInvalidArgument, "sobel2d: checkpoint missing row state");
-  }
-  pending_ = *pending;
-  auto blob_rows = [](const std::vector<std::uint8_t>& b, std::vector<double>& out) {
-    out.resize(b.size() / sizeof(double));
-    if (!out.empty()) std::memcpy(out.data(), b.data(), out.size() * sizeof(double));
-  };
-  blob_rows(*prev1, prev1_);
-  blob_rows(*prev2, prev2_);
   return Status::ok();
 }
 
 std::unique_ptr<Kernel> Sobel2dKernel::clone() const {
-  return std::make_unique<Sobel2dKernel>(width_, threshold_);
+  return std::make_unique<Sobel2dKernel>(width(), threshold_);
 }
 
 std::vector<double> Sobel2dKernel::magnitude_reference(const std::vector<double>& grid,

@@ -8,10 +8,15 @@
 // not stripe-mergeable — but with a different operation mix (12 mul,
 // 10 add/sub, 1 sqrt, 1 cmp per item), giving the scheduler a third
 // cost point between SUM and Gaussian.
+//
+// Rows come from a RowWindow (row_window.hpp), read in place; no pointer
+// into a chunk is kept past consume(). Gradients are computed one pixel at
+// a time in column order. restore() also refuses another threshold.
 #pragma once
 
 #include "kernels/kernel.hpp"
 #include "kernels/operation.hpp"
+#include "kernels/row_window.hpp"
 
 namespace dosas::kernels {
 
@@ -35,14 +40,14 @@ class Sobel2dKernel final : public Kernel {
   std::string name() const override { return "sobel2d"; }
   void reset() override;
   void consume(std::span<const std::uint8_t> chunk) override;
-  Bytes consumed() const override { return consumed_; }
+  Bytes consumed() const override { return window_.consumed(); }
   std::vector<std::uint8_t> finalize() const override;
   Bytes result_size(Bytes input) const override;
   Checkpoint checkpoint() const override;
   Status restore(const Checkpoint& ck) override;
   std::unique_ptr<Kernel> clone() const override;
 
-  std::size_t width() const { return width_; }
+  std::size_t width() const { return window_.width(); }
   double threshold() const { return threshold_; }
 
   /// Reference implementation for tests: gradient magnitudes of the
@@ -51,17 +56,10 @@ class Sobel2dKernel final : public Kernel {
                                                  std::size_t width);
 
  private:
-  void push_row(const double* row);
   void process_center(const double* above, const double* center, const double* below);
 
-  std::size_t width_;
   double threshold_;
-  Bytes consumed_ = 0;
-
-  std::vector<std::uint8_t> pending_;
-  std::vector<double> prev1_;
-  std::vector<double> prev2_;
-  std::size_t rows_seen_ = 0;
+  RowWindow window_;
 
   std::uint64_t out_rows_ = 0;
   std::uint64_t out_count_ = 0;

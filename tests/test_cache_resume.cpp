@@ -286,6 +286,41 @@ TEST(Resumption, BadCheckpointFailsCleanly) {
   EXPECT_EQ(resp.outcome, server::ActiveOutcome::kFailed);
 }
 
+TEST(Resumption, RowStateThatDoesNotFitWidthFailsCleanly) {
+  // A checksum-valid gaussian2d checkpoint whose previous rows are one item
+  // long instead of one 128-wide row: the request must fail typed instead
+  // of letting the kernel read past the short rows.
+  pfs::FileSystem fs(1, 64_KiB);
+  pfs::Client client(fs);
+  constexpr std::size_t kWidth = 128;
+  auto meta = pfs::write_doubles(client, "/g", kWidth * 64,
+                                 [](std::size_t i) { return static_cast<double>(i % 17); });
+  ASSERT_TRUE(meta.is_ok());
+  server::ContentionEstimator::Config ce;
+  ce.optimizer = "all-active";
+  server::StorageServer server(fs, 0, kernels::Registry::with_builtins(), ce,
+                               server::RateTable::paper_rates());
+
+  const Bytes cut = 5 * kWidth * sizeof(double);
+  auto prefix = fs.data_server(0).read_object(meta.value().handle, 0, cut);
+  ASSERT_TRUE(prefix.is_ok());
+  kernels::Gaussian2dKernel partial(kWidth);
+  partial.consume(prefix.value());
+  Checkpoint ck = partial.checkpoint();
+  ck.set_blob("prev1", std::vector<std::uint8_t>(sizeof(double), 0));
+  ck.set_blob("prev2", std::vector<std::uint8_t>(sizeof(double), 0));
+
+  server::ActiveIoRequest resume;
+  resume.handle = meta.value().handle;
+  resume.length = meta.value().size;
+  resume.operation = "gaussian2d:width=128";
+  resume.resume_checkpoint = ck.encode();
+  resume.resume_from = cut;
+  auto resp = serve(server, resume);
+  EXPECT_EQ(resp.outcome, server::ActiveOutcome::kFailed);
+  EXPECT_EQ(resp.status.code(), ErrorCode::kInvalidArgument);
+}
+
 TEST(Resumption, ClientResubmitPathProducesExactResults) {
   // DOSAS cluster under contention with resubmission enabled: whatever mix
   // of first-try / resubmitted / locally-finished outcomes occurs, results

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <string>
@@ -611,6 +612,52 @@ TEST(Gaussian2d, RestoreRejectsModeMismatch) {
   Gaussian2dKernel a(16, Gaussian2dKernel::Mode::kDigest);
   Gaussian2dKernel b(16, Gaussian2dKernel::Mode::kFull);
   EXPECT_FALSE(b.restore(a.checkpoint()).is_ok());
+}
+
+TEST(Gaussian2d, RestoreRejectsRowStateThatDoesNotFitWidth) {
+  // Checksum-valid checkpoints whose row state does not fit the width: a
+  // short previous row would be read past, and a pending blob of a whole
+  // row would swallow all later input.
+  const std::size_t w = 128, row_bytes = w * sizeof(double);
+  Gaussian2dKernel src(w, Gaussian2dKernel::Mode::kFull);
+  src.consume(doubles_to_bytes(random_doubles(w * 5, 4)));
+  const Checkpoint good = src.checkpoint();
+  ASSERT_EQ(good.get_i64("rows_seen"), 5);
+  const std::vector<std::uint8_t> item(sizeof(double), 0), row(row_bytes, 0), none;
+
+  auto restore_with = [&](const std::function<void(Checkpoint&)>& edit) {
+    Checkpoint ck = good;
+    edit(ck);
+    auto decoded = Checkpoint::decode(ck.encode());
+    EXPECT_TRUE(decoded.is_ok());
+    Gaussian2dKernel k(w, Gaussian2dKernel::Mode::kFull);
+    return k.restore(decoded.value()).code();
+  };
+  const auto ok = ErrorCode::kOk, bad = ErrorCode::kInvalidArgument;
+  EXPECT_EQ(restore_with([](Checkpoint&) {}), ok);
+  EXPECT_EQ(restore_with([&](Checkpoint& ck) {
+              ck.set_blob("prev1", item);
+              ck.set_blob("prev2", item);
+            }), bad);
+  EXPECT_EQ(restore_with([&](Checkpoint& ck) {
+              std::vector<std::uint8_t> longer = row;
+              longer.push_back(0);
+              ck.set_blob("prev2", longer);
+            }), bad);
+  EXPECT_EQ(restore_with([&](Checkpoint& ck) { ck.set_blob("pending", row); }), bad);
+  EXPECT_EQ(restore_with([&](Checkpoint& ck) { ck.set_blob("prev2", none); }), bad);
+  EXPECT_EQ(restore_with([&](Checkpoint& ck) {
+              ck.set_i64("rows_seen", 1);
+              ck.set_blob("prev1", none);
+              ck.set_blob("prev2", none);
+            }), bad);
+  EXPECT_EQ(restore_with([&](Checkpoint& ck) { ck.set_i64("rows_seen", -1); }), bad);
+  EXPECT_EQ(restore_with([&](Checkpoint& ck) { ck.set_blob("full_out", {1, 2, 3}); }), bad);
+  // After one row only prev1 is held; that state is whole.
+  EXPECT_EQ(restore_with([&](Checkpoint& ck) {
+              ck.set_i64("rows_seen", 1);
+              ck.set_blob("prev2", none);
+            }), ok);
 }
 
 TEST(Gaussian2d, DigestResultSizeConstantFullProportional) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <set>
 
 #include "common/rng.hpp"
@@ -121,6 +122,44 @@ TEST(Sobel2d, CheckpointResumeMatches) {
 TEST(Sobel2d, RestoreRejectsWidthMismatch) {
   Sobel2dKernel a(16), b(32);
   EXPECT_FALSE(b.restore(a.checkpoint()).is_ok());
+}
+
+TEST(Sobel2d, RestoreRejectsRowStateThatDoesNotFitWidth) {
+  // Checksum-valid checkpoints whose row state does not fit the width: the
+  // next row would be read past the short previous rows.
+  const std::size_t w = 128, row_bytes = w * sizeof(double);
+  Sobel2dKernel src(w, 2.0);
+  src.consume(doubles_to_bytes(random_doubles(w * 5, 4)));
+  const Checkpoint good = src.checkpoint();
+  const std::vector<std::uint8_t> item(sizeof(double), 0), row(row_bytes, 0), none;
+
+  auto restore_with = [&](const std::function<void(Checkpoint&)>& edit) {
+    Checkpoint ck = good;
+    edit(ck);
+    auto decoded = Checkpoint::decode(ck.encode());
+    EXPECT_TRUE(decoded.is_ok());
+    Sobel2dKernel k(w, 2.0);
+    return k.restore(decoded.value()).code();
+  };
+  const auto bad = ErrorCode::kInvalidArgument;
+  EXPECT_EQ(restore_with([](Checkpoint&) {}), ErrorCode::kOk);
+  EXPECT_EQ(restore_with([&](Checkpoint& ck) {
+              ck.set_blob("prev1", item);
+              ck.set_blob("prev2", item);
+            }), bad);
+  EXPECT_EQ(restore_with([&](Checkpoint& ck) { ck.set_blob("pending", row); }), bad);
+  EXPECT_EQ(restore_with([&](Checkpoint& ck) { ck.set_blob("prev1", none); }), bad);
+}
+
+TEST(Sobel2d, RestoreRejectsThresholdMismatch) {
+  // The threshold is part of the operation, as the width is: a checkpoint
+  // taken under another threshold is refused, not silently adopted.
+  Sobel2dKernel a(16, 1.0), b(16, 2.0);
+  a.consume(doubles_to_bytes(random_doubles(16 * 4, 5)));
+  EXPECT_EQ(b.restore(a.checkpoint()).code(), ErrorCode::kInvalidArgument);
+  EXPECT_DOUBLE_EQ(b.threshold(), 2.0);
+  Sobel2dKernel c(16, 1.0);
+  EXPECT_TRUE(c.restore(a.checkpoint()).is_ok());
 }
 
 TEST(Sobel2d, FromSpecParsesArgs) {
