@@ -1,66 +1,114 @@
 // clock.hpp — the single time seam for the whole runtime.
 //
 // The DOSAS control loop is all about timing: CE probe ticks, per-request
-// deadlines, retry backoff, interrupt/resume latencies. Before this seam
-// the real runtime read wall-clock time directly in a dozen files while
-// the discrete-event engine in src/sim kept its own virtual Time — two
-// parallel time worlds, with hacks like the old TokenBucket::advance()
-// leaking between them. Now every component asks the injected Clock:
+// deadlines, retry backoff, interrupt/resume latencies. Every component
+// asks the injected Clock — never std::chrono or a raw condition variable
+// (enforced by tools/check_clock.sh):
 //
-//   * Clock        — now()/sleep()/wait()/timed_wait(); every blocking or
-//                    time-reading site in src/, tests/, tools/ and bench/
-//                    goes through it (enforced by tools/check_clock.sh);
+//   * Clock        — now()/sleep()/wait()/timed_wait()/wake_*() and
+//                    spawn(), the one way a participant is started;
 //   * WallClock    — the production clock: std::chrono::steady_clock with
-//                    an epoch at process start, real sleeps, real waits;
+//                    an epoch at process start, real sleeps, real waits,
+//                    and spawn() starts a std::thread;
 //   * VirtualClock — a deterministic-simulation-testing clock à la
-//                    FoundationDB: virtual time stands still while any
-//                    registered participant thread is runnable and jumps
-//                    straight to the earliest armed deadline once every
-//                    participant is blocked in a clock wait (the
-//                    "quiescence rule"). Seconds of sleeping/backoff/
-//                    deadline collapse into microseconds of real time,
-//                    and the virtual timeline is a pure function of the
-//                    program's blocking structure — replayable.
+//                    FoundationDB, run as a fiber scheduler on ONE OS
+//                    thread (below).
 //
-// Participation: under a VirtualClock, every thread that *drives* work
-// (test driver threads, pool workers, the rpc watchdog, runner threads)
-// must hold a ClockParticipant for its lifetime; threads that block
-// outside the clock (e.g. in thread::join) must not be registered while
-// they do. ThreadPool workers and the transport watchdog register
-// themselves automatically, so a DST harness only registers its own
-// driver threads — and must install the VirtualClock (ScopedClockOverride)
-// BEFORE constructing the cluster so those runtime threads bind to it.
+// The virtual world. A VirtualClock belongs to the OS thread that
+// constructs (and installs) it. Every participant it spawns is a stackful
+// ucontext fiber on that thread; the thread's own context is the root
+// participant. Exactly one participant runs at a time, and only a clock
+// call switches:
 //
-// With zero registered participants a VirtualClock auto-advances on every
-// timed wait (single-threaded mode: sleeps become jumps, manual
-// advance_by() models idle time) — which is what deleted the old
-// TokenBucket::advance() dual path.
+//   * a blocking call (sleep, wait, timed_wait, joining a participant)
+//     suspends the caller and switches straight to the next runnable
+//     fiber — FIFO by when it became runnable, ties (several made
+//     runnable by one wake or one deadline) by spawn order;
+//   * wake_all()/wake_one() only mark the cv's waiters runnable (every
+//     waiter: each re-checks its predicate); the caller keeps running;
+//   * virtual time jumps to the earliest armed deadline only when nothing
+//     is runnable (the quiescence rule, exact by construction) — seconds
+//     of sleeping, backoff and deadlines collapse into microseconds, and
+//     the timeline is a pure function of the program.
+//
+// The rules that follow from one OS thread:
+//   * no foreign OS thread: a blocking call, wake or spawn on a
+//     VirtualClock from any thread but its own aborts, naming the call —
+//     start participants with clock().spawn(), never std::thread;
+//   * no foreign mutex: a participant must not make a blocking clock call
+//     while it holds a mutex other than the one it waits on (the next
+//     participant to take it would block the whole thread); a wait that
+//     cannot re-take its own mutex on wake-up aborts, naming the call;
+//   * no busy-waiting on another participant: it cannot run until the
+//     spinner makes a clock call;
+//   * stacks are kFiberStackBytes, mmap'd with a PROT_NONE guard page
+//     below them and never pre-touched (a fiber costs the pages it uses);
+//     an exception escaping a fiber's function ends the process with a
+//     message naming the fiber; switches carry the ASan and TSan fiber
+//     annotations.
+//
+// Install the VirtualClock (ScopedClockOverride) BEFORE constructing the
+// cluster, so its pool workers, probers and watchdog are spawned as
+// fibers. With nothing spawned, a timed wait simply jumps virtual time to
+// its own deadline; advance_by()/advance_to() model idle time by hand.
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <map>
+#include <memory>
 #include <mutex>
-#include <vector>
+#include <string>
+#include <thread>
+#include <utility>
 
 #include "common/units.hpp"
 
 namespace dosas {
 
-/// The injectable time base. All methods are thread-safe. `deadline`
-/// arguments are absolute clock time (seconds since the clock's epoch).
+struct Fiber;  // a VirtualClock participant (clock.cpp)
+class VirtualClock;
+
+/// A participant started by Clock::spawn(): an OS thread under the
+/// WallClock, a fiber under a VirtualClock. Move-only; like std::jthread
+/// it joins on destruction (and before being assigned over) if still
+/// joinable. Join it before the clock that spawned it goes away.
+class Participant {
+ public:
+  Participant() = default;
+  Participant(Participant&& other) noexcept;
+  Participant& operator=(Participant&& other) noexcept;
+  ~Participant();
+
+  bool joinable() const { return thread_.joinable() || fiber_ != nullptr; }
+  /// Block (through the spawning clock) until the participant finished.
+  void join();
+
+ private:
+  friend class WallClock;
+  friend class VirtualClock;
+
+  std::thread thread_;              ///< WallClock
+  VirtualClock* clock_ = nullptr;   ///< VirtualClock
+  Fiber* fiber_ = nullptr;          ///< VirtualClock
+};
+
+/// The injectable time base. `deadline` arguments are absolute clock time
+/// (seconds since the clock's epoch).
 class Clock {
  public:
-  /// Introspection snapshot (surfaced by `dosas_ctl runtime` for
-  /// debugging stuck DST runs).
+  /// Introspection snapshot (surfaced by `dosas_ctl runtime`).
   struct Status {
     bool virtual_time = false;
     Seconds now = 0.0;
-    int participants = 0;    ///< registered driver threads
-    int blocked = 0;         ///< participants currently in a clock wait
+    int participants = 0;    ///< live participants started by spawn()
+    int blocked = 0;         ///< callers currently suspended in a clock call
     int timed_waiters = 0;   ///< armed (unexpired) deadlines
-    std::uint64_t advances = 0;      ///< virtual-time jumps so far
-    std::uint64_t stalled_checks = 0;  ///< quiescent with nothing armed (deadlock sign)
+    std::uint64_t advances = 0;  ///< virtual-time jumps so far
   };
 
   using Predicate = std::function<bool()>;
@@ -72,13 +120,12 @@ class Clock {
   /// Seconds since this clock's epoch.
   virtual Seconds now() const = 0;
 
-  /// Block the calling thread for `d` seconds of clock time.
+  /// Block the caller for `d` seconds of clock time.
   virtual void sleep(Seconds d) = 0;
 
   /// Wait on a caller-owned cv/lock until `pred` holds. Equivalent to
-  /// `cv.wait(lock, pred)` but visible to the clock's quiescence
-  /// accounting. The caller must hold `lock` and `pred` is evaluated
-  /// under it, as with std::condition_variable.
+  /// `cv.wait(lock, pred)`: the caller holds `lock` and `pred` is
+  /// evaluated under it.
   virtual void wait(std::condition_variable& cv, std::unique_lock<std::mutex>& lock,
                     const Predicate& pred) = 0;
 
@@ -89,27 +136,31 @@ class Clock {
 
   /// Notify waiters blocked through this clock on `cv`. Producers MUST use
   /// these instead of cv.notify_*() for any cv that clock waits block on:
-  /// under a VirtualClock the notification edge (not the OS wake-up) is
-  /// what moves a waiter out of the quiescence accounting — a plain
-  /// notify would leave the signalled thread counted as blocked until the
-  /// scheduler runs it, letting virtual time jump a deadline that the
-  /// woken thread was about to beat. Under a VirtualClock wake_one wakes
-  /// every waiter on `cv` (each re-checks its predicate); under the wall
-  /// clock these are plain notify_one/notify_all.
+  /// a VirtualClock's waiters are suspended fibers that only a clock wake
+  /// makes runnable. Under a VirtualClock wake_one wakes every waiter on
+  /// `cv` (each re-checks its predicate); under the wall clock these are
+  /// plain notify_one/notify_all.
   virtual void wake_all(std::condition_variable& cv) = 0;
   virtual void wake_one(std::condition_variable& cv) = 0;
 
-  /// Register/unregister the calling thread as a DST participant (see the
-  /// quiescence rule above). Prefer the ClockParticipant RAII guard.
-  virtual void add_participant() = 0;
-  virtual void remove_participant() = 0;
+  /// Start `fn` as a participant named `name` (named in diagnostics): a
+  /// std::thread under the WallClock, a fiber under a VirtualClock, where
+  /// it is registered before it can run and first runs when the caller
+  /// next blocks or yields.
+  virtual Participant spawn(std::function<void()> fn, std::string name) = 0;
+
+  /// A small id for the running participant, stable for its lifetime —
+  /// the trace lane (Chrome `tid`) its events are drawn on. The WallClock
+  /// numbers OS threads densely in first-use order; a VirtualClock numbers
+  /// its fibers in spawn order (its own thread is 0).
+  virtual std::uint32_t lane() const = 0;
 
   virtual Status status() const = 0;
 };
 
 /// Production clock: steady_clock with an epoch fixed at singleton
-/// construction (process start, in practice). sleep() and timed_wait()
-/// consume real time.
+/// construction (process start, in practice). All methods are
+/// thread-safe; sleep() and timed_wait() consume real time.
 class WallClock final : public Clock {
  public:
   /// The process-wide wall clock (also the default global clock).
@@ -124,8 +175,8 @@ class WallClock final : public Clock {
                   Seconds deadline, const Predicate& pred) override;
   void wake_all(std::condition_variable& cv) override;
   void wake_one(std::condition_variable& cv) override;
-  void add_participant() override;
-  void remove_participant() override;
+  Participant spawn(std::function<void()> fn, std::string name) override;
+  std::uint32_t lane() const override;
   Status status() const override;
 
  private:
@@ -138,71 +189,79 @@ class WallClock final : public Clock {
   int timed_waiters_ = 0;
 };
 
-/// Deterministic virtual-time clock. Starts at now() == 0. Time advances
-/// only (a) when every registered participant is blocked in a clock wait
-/// and at least one deadline is armed — it jumps to the earliest — or
-/// (b) through manual advance_by()/advance_to() (single-threaded tests).
+/// Deterministic virtual-time clock and fiber scheduler (see the header
+/// comment). Starts at now() == 0. Time advances only (a) when nothing is
+/// runnable and a deadline is armed — it jumps to the earliest — or (b)
+/// through advance_by()/advance_to(). Every method except now() and
+/// status() must be called on the clock's own OS thread.
 class VirtualClock final : public Clock {
  public:
-  VirtualClock() = default;
+  /// Usable stack per fiber; a PROT_NONE guard page sits below it.
+  static constexpr std::size_t kFiberStackBytes = 256 * 1024;
+
+  VirtualClock();
   ~VirtualClock() override;
 
+  VirtualClock(const VirtualClock&) = delete;
+  VirtualClock& operator=(const VirtualClock&) = delete;
+
   bool is_virtual() const override { return true; }
-  Seconds now() const override;
+  Seconds now() const override { return now_; }
   void sleep(Seconds d) override;
   void wait(std::condition_variable& cv, std::unique_lock<std::mutex>& lock,
             const Predicate& pred) override;
   bool timed_wait(std::condition_variable& cv, std::unique_lock<std::mutex>& lock,
                   Seconds deadline, const Predicate& pred) override;
-  void add_participant() override;
-  void remove_participant() override;
+  void wake_all(std::condition_variable& cv) override;
+  void wake_one(std::condition_variable& cv) override;
+  Participant spawn(std::function<void()> fn, std::string name) override;
+  std::uint32_t lane() const override;
   Status status() const override;
 
-  /// Manually move virtual time forward (models idle time in
-  /// single-threaded tests). Fires any deadlines the jump crosses.
+  /// Manually move virtual time forward (models idle time). Deadlines the
+  /// jump crosses fire: their waiters become runnable.
   void advance_by(Seconds dt);
   void advance_to(Seconds t);
 
-  void wake_all(std::condition_variable& cv) override;
-  void wake_one(std::condition_variable& cv) override;
+  /// Let every participant that is runnable now run until it blocks
+  /// before the caller continues. Virtual time does not move.
+  void yield();
 
  private:
-  struct TimedWaiter {
-    std::uint64_t id = 0;
-    Seconds deadline = 0.0;
-    std::condition_variable* cv = nullptr;
-    bool participant = false;  ///< counts toward blocked_ while armed
-    bool fired = false;        ///< deadline reached; waiter is runnable
-    bool poked = false;        ///< wake_*() delivered; waiter is runnable
-  };
-  struct UntimedWaiter {
-    std::uint64_t id = 0;
-    std::condition_variable* cv = nullptr;
-    bool participant = false;
-    bool poked = false;
-  };
+  friend class Participant;
 
-  /// Quiescence check; caller holds mu_. If all participants are blocked
-  /// and a deadline is armed, jump to the earliest and fire it.
-  void check_advance_locked();
-  void fire_crossed_locked();
+  /// makecontext entry: the Fiber pointer arrives split into two ints.
+  static void fiber_main(unsigned lo, unsigned hi);
 
-  std::vector<TimedWaiter>::iterator find_timed_locked(std::uint64_t id);
-  std::vector<UntimedWaiter>::iterator find_untimed_locked(std::uint64_t id);
+  void join(Fiber* f);
+  void check_owner(const char* call) const;
+  /// Suspend the caller on `cv` (and on `deadline` if timed), releasing
+  /// `lock` while suspended and re-taking it before returning.
+  void park(std::condition_variable& cv, std::unique_lock<std::mutex>& lock, bool timed,
+            Seconds deadline, const char* call);
+  void arm(Fiber* f, Seconds deadline);
+  /// Suspend the current participant (already registered on whatever
+  /// will wake it) until it is made runnable and scheduled again.
+  void block(const char* call);
+  void make_runnable(Fiber* f);
+  void fire_crossed();
+  /// The next participant to run: the run queue's head, advancing
+  /// virtual time first if nothing is runnable.
+  Fiber* next_runnable();
+  void switch_to(Fiber* to);
+  [[noreturn]] void exit_current();
 
-  mutable std::mutex mu_;
+  std::thread::id owner_;
   Seconds now_ = 0.0;
-  int participants_ = 0;
-  int blocked_ = 0;  ///< participants inside wait()/timed_wait()/sleep()
-  /// Non-participant waiters that have been fired/poked but not yet
-  /// rescheduled by the OS. Gates advancement so the clock cannot race
-  /// past a wake-up it just delivered.
-  int waking_ = 0;
-  std::uint64_t next_waiter_id_ = 1;
-  std::vector<TimedWaiter> timed_;
-  std::vector<UntimedWaiter> untimed_;
   std::uint64_t advances_ = 0;
-  std::uint64_t stalled_checks_ = 0;
+  std::uint64_t next_id_ = 1;
+  int blocked_ = 0;
+  std::unique_ptr<Fiber> root_;  ///< the owning thread's own context
+  Fiber* current_ = nullptr;
+  std::map<std::uint64_t, std::unique_ptr<Fiber>> fibers_;  ///< spawned, not yet joined
+  std::deque<Fiber*> runnable_;
+  std::map<std::pair<Seconds, std::uint64_t>, Fiber*> timers_;  ///< (deadline, id)
+  std::multimap<const std::condition_variable*, Fiber*> cv_waiters_;
 };
 
 /// The current global clock (WallClock unless overridden). This is the
@@ -216,12 +275,12 @@ Clock& wall_clock();
 
 /// Install `c` as the global clock (nullptr restores the wall clock).
 /// Returns the previous override (nullptr if none). Must not be called
-/// while runtime threads bound to the old clock are still alive.
+/// while participants spawned by the old clock are still alive.
 Clock* set_global_clock(Clock* c);
 
 /// Scoped clock override: installs in the constructor, restores the
 /// previous clock in the destructor. Construct BEFORE the cluster /
-/// transport / pools whose threads should bind to the override.
+/// transport / pools whose participants should be spawned by it.
 class ScopedClockOverride {
  public:
   explicit ScopedClockOverride(Clock& c) : prev_(set_global_clock(&c)) {}
@@ -231,38 +290,6 @@ class ScopedClockOverride {
   ScopedClockOverride& operator=(const ScopedClockOverride&) = delete;
 
  private:
-  Clock* prev_;
-};
-
-/// RAII participant registration for the calling thread, bound to the
-/// global clock at construction. Hold for the thread's whole driving
-/// lifetime; never hold across blocking that bypasses the clock
-/// (thread::join, I/O waits).
-///
-/// A thread that SPAWNS a participating thread must not leave a window in
-/// which the clock cannot see it: between std::thread construction and the
-/// new thread's registration, a VirtualClock would count one participant
-/// too few and could jump a deadline the new thread was about to arm. The
-/// spawner closes the window by calling clock().add_participant() BEFORE
-/// constructing the thread, and the spawned thread takes over that count
-/// with the kAdoptPreRegistered constructor (its destructor releases it).
-class ClockParticipant {
- public:
-  enum class Adopt { kPreRegistered };
-  static constexpr Adopt kAdoptPreRegistered = Adopt::kPreRegistered;
-
-  ClockParticipant();
-  /// Take over a count the spawning thread already registered via
-  /// clock().add_participant() — binds the thread-local without
-  /// re-incrementing.
-  explicit ClockParticipant(Adopt);
-  ~ClockParticipant();
-
-  ClockParticipant(const ClockParticipant&) = delete;
-  ClockParticipant& operator=(const ClockParticipant&) = delete;
-
- private:
-  Clock* clock_;
   Clock* prev_;
 };
 

@@ -9,10 +9,11 @@
 //   * fast path: a Vyukov-style bounded MPMC ring — per-slot sequence
 //     numbers, one CAS on enqueue_pos_/dequeue_pos_ per operation, no
 //     mutex, no syscall;
-//   * slow path: after a bounded spin, producers/consumers park on a
-//     condition variable *through the Clock seam* (clock.hpp), so a worker
-//     blocked in receive() counts as quiescent under a VirtualClock and
-//     DST bit-identity survives the swap;
+//   * slow path: after a bounded spin (one attempt under a VirtualClock,
+//     where nothing else runs during a spin), producers/consumers park on
+//     a condition variable *through the Clock seam* (clock.hpp), so a
+//     worker blocked in receive() counts as quiescent under a VirtualClock
+//     and DST bit-identity survives the swap;
 //   * close(): sends fail after close, and any send() that returned true
 //     is guaranteed to be drained by receivers
 //     (a producers-in-flight count lets receivers distinguish "drained"
@@ -193,14 +194,15 @@ class Ring {
   /// drained; nullopt means closed-and-empty.
   std::optional<T> receive() {
     std::optional<T> out;
-    for (int i = 0; i < kSpins; ++i) {
+    const int spins = spin_limit();
+    for (int i = 0; i < spins; ++i) {
+      if (i > 0) cpu_relax();
       const QueuePoll r = poll_once(out);
       if (r == QueuePoll::kItem) {
         wake_producers();
         return out;
       }
       if (r == QueuePoll::kClosed) return std::nullopt;
-      cpu_relax();
     }
     QueuePoll state = QueuePoll::kEmpty;
     {
@@ -371,13 +373,19 @@ class Ring {
   }
 
   PushResult spin_push(T& item) {
-    for (int i = 0; i < kSpins; ++i) {
+    const int spins = spin_limit();
+    for (int i = 0; i < spins; ++i) {
+      if (i > 0) cpu_relax();
       const PushResult r = push_slot(item);
       if (r != PushResult::kFull) return r;
-      cpu_relax();
     }
     return PushResult::kFull;
   }
+
+  /// Lock-free attempts before parking. Under a VirtualClock the other
+  /// participants are fibers on this thread and cannot run during a spin,
+  /// so one attempt decides.
+  static int spin_limit() { return clock().is_virtual() ? 1 : kSpins; }
 
   /// One tri-state attempt: kItem fills `out`; kClosed is only reported
   /// when the ring is closed, no producer is between its entry check and

@@ -16,10 +16,11 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <thread>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/clock.hpp"
 #include "common/ring.hpp"
 
 namespace dosas {
@@ -38,11 +39,7 @@ class ThreadPool {
       : tasks_(queue_capacity), on_error_(std::move(on_error)) {
     workers_.reserve(threads);
     for (std::size_t i = 0; i < threads; ++i) {
-      // Pre-register each worker's clock participation from this thread
-      // so a VirtualClock never advances in the spawn window (see
-      // ClockParticipant); run() adopts the count.
-      clock().add_participant();
-      workers_.emplace_back([this] { run(); });
+      workers_.push_back(clock().spawn([this] { run(); }, "pool worker " + std::to_string(i)));
     }
   }
 
@@ -76,11 +73,9 @@ class ThreadPool {
 
  private:
   void run() {
-    // Workers are DST participants: an idle worker parked in receive() is
-    // quiescent, so a VirtualClock can advance past it. Binds to the
-    // global clock at pool construction — install any override first.
-    // The count itself was pre-registered by the constructor.
-    ClockParticipant participant(ClockParticipant::kAdoptPreRegistered);
+    // Workers are clock participants (fibers under a VirtualClock, spawned
+    // at pool construction — install any override first): an idle worker
+    // parked in receive() is quiescent, so virtual time can advance past it.
     while (auto task = tasks_.receive()) {
       try {
         (*task)();
@@ -96,7 +91,7 @@ class ThreadPool {
   Ring<std::function<void()>> tasks_;
   ErrorCallback on_error_;
   std::atomic<std::uint64_t> task_exceptions_{0};
-  std::vector<std::thread> workers_;
+  std::vector<Participant> workers_;
 };
 
 }  // namespace dosas

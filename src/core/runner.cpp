@@ -1,6 +1,6 @@
 #include "core/runner.hpp"
 
-#include <thread>
+#include <string>
 
 #include "common/clock.hpp"
 
@@ -11,16 +11,12 @@ WorkloadReport run_workload(Cluster& cluster, const std::vector<WorkloadRequest>
   report.outcomes.resize(requests.size());
 
   const Seconds start = clock().now();
-  std::vector<std::thread> threads;
+  std::vector<Participant> threads;
   threads.reserve(requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    // Pre-registered here so a VirtualClock cannot advance between thread
-    // creation and the thread's own registration (see ClockParticipant).
-    clock().add_participant();
-    threads.emplace_back([&, i] {
-      // Request threads drive work, so under a VirtualClock they are DST
-      // participants: blocking in read_ex counts toward quiescence.
-      ClockParticipant participant(ClockParticipant::kAdoptPreRegistered);
+    // One participant per request: an OS thread, or a fiber under a
+    // VirtualClock, where blocking in read_ex counts toward quiescence.
+    threads.push_back(clock().spawn([&, i] {
       const auto& req = requests[i];
       auto& out = report.outcomes[i];
       const Seconds t0 = clock().now();
@@ -40,7 +36,7 @@ WorkloadReport run_workload(Cluster& cluster, const std::vector<WorkloadRequest>
       } else {
         out.error = result.status().to_string();
       }
-    });
+    }, "request " + std::to_string(i)));
   }
   for (auto& t : threads) t.join();
   report.wall_time = clock().now() - start;

@@ -177,32 +177,6 @@ std::unique_ptr<Kernel> Gaussian2dKernel::clone() const {
   return std::make_unique<Gaussian2dKernel>(width(), mode_);
 }
 
-std::vector<double> Gaussian2dKernel::filter_reference(const std::vector<double>& grid,
-                                                       std::size_t width) {
-  assert(width >= 1);
-  assert(grid.size() % width == 0);
-  const std::size_t rows = grid.size() / width;
-  std::vector<double> out;
-  if (rows < 3) return out;
-  out.reserve((rows - 2) * width);
-  for (std::size_t y = 1; y + 1 < rows; ++y) {
-    for (std::size_t x = 0; x < width; ++x) {
-      const std::size_t xl = x == 0 ? 0 : x - 1;
-      const std::size_t xr = x + 1 == width ? x : x + 1;
-      double acc = 0.0;
-      const std::size_t cols[3] = {xl, x, xr};
-      for (int dy = -1; dy <= 1; ++dy) {
-        const double* row = grid.data() + (y + static_cast<std::size_t>(dy + 1) - 1) * width;
-        for (int dx = 0; dx < 3; ++dx) {
-          acc += kW[dy + 1][dx] * row[cols[dx]];
-        }
-      }
-      out.push_back(acc / kDivisor);
-    }
-  }
-  return out;
-}
-
 Result<GaussianDigest> GaussianDigest::decode(std::span<const std::uint8_t> bytes) {
   std::vector<std::uint8_t> buf(bytes.begin(), bytes.end());
   ByteReader r(buf);

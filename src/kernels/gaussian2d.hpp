@@ -70,11 +70,6 @@ class Gaussian2dKernel final : public Kernel {
   std::size_t width() const { return window_.width(); }
   Mode mode() const { return mode_; }
 
-  /// Reference implementation over a whole image (for tests): filters
-  /// `rows` × `width` values, returning (rows-2) × width output values.
-  static std::vector<double> filter_reference(const std::vector<double>& grid,
-                                              std::size_t width);
-
  private:
   void filter_center(const double* above, const double* center, const double* below);
 

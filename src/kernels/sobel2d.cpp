@@ -100,31 +100,6 @@ std::unique_ptr<Kernel> Sobel2dKernel::clone() const {
   return std::make_unique<Sobel2dKernel>(width(), threshold_);
 }
 
-std::vector<double> Sobel2dKernel::magnitude_reference(const std::vector<double>& grid,
-                                                       std::size_t width) {
-  assert(width >= 1);
-  assert(grid.size() % width == 0);
-  const std::size_t rows = grid.size() / width;
-  std::vector<double> out;
-  if (rows < 3) return out;
-  out.reserve((rows - 2) * width);
-  for (std::size_t y = 1; y + 1 < rows; ++y) {
-    const double* above = grid.data() + (y - 1) * width;
-    const double* center = grid.data() + y * width;
-    const double* below = grid.data() + (y + 1) * width;
-    for (std::size_t x = 0; x < width; ++x) {
-      const std::size_t xl = x == 0 ? 0 : x - 1;
-      const std::size_t xr = x + 1 == width ? x : x + 1;
-      const double gx = -above[xl] + above[xr] - 2.0 * center[xl] + 2.0 * center[xr] -
-                        below[xl] + below[xr];
-      const double gy = -above[xl] - 2.0 * above[x] - above[xr] + below[xl] +
-                        2.0 * below[x] + below[xr];
-      out.push_back(std::sqrt(gx * gx + gy * gy));
-    }
-  }
-  return out;
-}
-
 Result<SobelDigest> SobelDigest::decode(std::span<const std::uint8_t> bytes) {
   std::vector<std::uint8_t> buf(bytes.begin(), bytes.end());
   ByteReader r(buf);

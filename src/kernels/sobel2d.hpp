@@ -50,11 +50,6 @@ class Sobel2dKernel final : public Kernel {
   std::size_t width() const { return window_.width(); }
   double threshold() const { return threshold_; }
 
-  /// Reference implementation for tests: gradient magnitudes of the
-  /// interior rows of a rows×width grid (edge-clamped columns).
-  static std::vector<double> magnitude_reference(const std::vector<double>& grid,
-                                                 std::size_t width);
-
  private:
   void process_center(const double* above, const double* center, const double* below);
 

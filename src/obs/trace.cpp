@@ -2,21 +2,12 @@
 
 #include <cstdio>
 #include <sstream>
-#include <thread>
 
 #include "common/clock.hpp"
 
 namespace dosas::obs {
 
 namespace {
-
-/// Small dense thread ids for Chrome's tid field (hash-of-thread-id would
-/// scatter lanes unreadably).
-std::uint32_t this_thread_tid() {
-  static std::atomic<std::uint32_t> next{1};
-  thread_local std::uint32_t tid = next.fetch_add(1, std::memory_order_relaxed);
-  return tid;
-}
 
 void append_json_string(std::ostringstream& out, const std::string& s) {
   out << '"';
@@ -101,7 +92,7 @@ void Tracer::complete(std::string name, std::string cat, double ts_us, double du
   e.ts_us = ts_us;
   e.dur_us = dur_us;
   e.pid = kWallPid;
-  e.tid = this_thread_tid();
+  e.tid = clock().lane();
   push(std::move(e));
 }
 
@@ -115,7 +106,7 @@ void Tracer::complete(std::string name, std::string cat, double ts_us, double du
   e.ts_us = ts_us;
   e.dur_us = dur_us;
   e.pid = kWallPid;
-  e.tid = this_thread_tid();
+  e.tid = clock().lane();
   e.trace_id = ctx.trace_id;
   e.span_id = ctx.span_id;
   e.parent_span_id = ctx.parent_span_id;
@@ -130,7 +121,7 @@ void Tracer::instant(std::string name, std::string cat) {
   e.ph = 'i';
   e.ts_us = now_us();
   e.pid = kWallPid;
-  e.tid = this_thread_tid();
+  e.tid = clock().lane();
   push(std::move(e));
 }
 
@@ -142,7 +133,7 @@ void Tracer::instant(std::string name, std::string cat, const TraceContext& ctx)
   e.ph = 'i';
   e.ts_us = now_us();
   e.pid = kWallPid;
-  e.tid = this_thread_tid();
+  e.tid = clock().lane();
   e.trace_id = ctx.trace_id;
   e.span_id = ctx.span_id;
   e.parent_span_id = ctx.parent_span_id;
@@ -158,7 +149,7 @@ void Tracer::flow_start(std::string name, std::string cat, std::uint64_t id,
   e.ph = 's';
   e.ts_us = now_us();
   e.pid = kWallPid;
-  e.tid = this_thread_tid();
+  e.tid = clock().lane();
   e.flow_id = id;
   e.trace_id = ctx.trace_id;
   e.span_id = ctx.span_id;
@@ -175,7 +166,7 @@ void Tracer::flow_finish(std::string name, std::string cat, std::uint64_t id,
   e.ph = 'f';
   e.ts_us = now_us();
   e.pid = kWallPid;
-  e.tid = this_thread_tid();
+  e.tid = clock().lane();
   e.flow_id = id;
   e.trace_id = ctx.trace_id;
   e.span_id = ctx.span_id;

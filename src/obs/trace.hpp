@@ -51,7 +51,7 @@ struct TraceEvent {
   double ts_us = 0.0;   ///< µs since the tracer epoch (or virtual µs)
   double dur_us = 0.0;  ///< 'X' only
   std::uint32_t pid = 1;
-  std::uint32_t tid = 0;
+  std::uint32_t tid = 0;  ///< the emitting participant's Clock::lane()
   double value = 0.0;  ///< 'C' only: the counter sample
   std::uint64_t flow_id = 0;         ///< 's'/'f' only: binds the flow arrow
   std::uint64_t trace_id = 0;        ///< causal context (0 = none)

@@ -12,10 +12,7 @@ namespace dosas::rpc {
 
 InProcessTransport::InProcessTransport(std::vector<server::StorageServer*> servers)
     : servers_(std::move(servers)) {
-  // Pre-register the watchdog's clock participation before spawning it so
-  // a VirtualClock cannot advance in the spawn window (ClockParticipant).
-  clock().add_participant();
-  watchdog_ = std::thread([this] { watchdog_loop(); });
+  watchdog_ = clock().spawn([this] { watchdog_loop(); }, "rpc watchdog");
 }
 
 InProcessTransport::~InProcessTransport() {
@@ -219,9 +216,8 @@ void InProcessTransport::arm_deadline(PendingReply reply, const Envelope& env) {
 }
 
 void InProcessTransport::watchdog_loop() {
-  // The watchdog is a DST participant: while it sleeps until the next
+  // The watchdog is a clock participant: while it sleeps until the next
   // expiry, a VirtualClock may jump straight to that deadline.
-  ClockParticipant participant(ClockParticipant::kAdoptPreRegistered);
   std::unique_lock lock(watchdog_mu_);
   while (true) {
     if (shutdown_) return;

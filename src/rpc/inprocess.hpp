@@ -21,9 +21,9 @@
 #include <condition_variable>
 #include <mutex>
 #include <queue>
-#include <thread>
 #include <vector>
 
+#include "common/clock.hpp"
 #include "common/stats.hpp"
 #include "rpc/transport.hpp"
 #include "server/storage_server.hpp"
@@ -113,7 +113,7 @@ class InProcessTransport : public Transport {
   std::condition_variable watchdog_cv_;
   std::priority_queue<Expiry, std::vector<Expiry>, std::greater<>> expiries_;
   bool shutdown_ = false;
-  std::thread watchdog_;  // last member: joined first
+  Participant watchdog_;  // last member: joined first
 };
 
 }  // namespace dosas::rpc

@@ -7,7 +7,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
-#include <thread>
+#include <string>
 #include <utility>
 
 #include "common/clock.hpp"
@@ -110,8 +110,6 @@ ScaleReport run_scale(const ScaleScenario& scenario, const Schedule& schedule) {
   VirtualClock vc;
   ScopedClockOverride override_clock(vc);
   {
-    ClockParticipant submitter;
-
     core::ClusterConfig cfg;
     cfg.storage_nodes = scenario.nodes;
     cfg.strip_size = scenario.file_bytes;
@@ -179,14 +177,10 @@ ScaleReport run_scale(const ScaleScenario& scenario, const Schedule& schedule) {
       queues.push_back(std::make_unique<SpscRing<PendingItem>>(ring_cap));
     }
     Ring<std::uint8_t> completions(ring_cap);  // one token per resolved request
-    std::vector<std::thread> completers;
+    std::vector<Participant> completers;
     completers.reserve(pool);
     for (std::size_t i = 0; i < pool; ++i) {
-      // Close the spawn window: register before the thread exists, adopt
-      // inside it (see ClockParticipant).
-      clock().add_participant();
-      completers.emplace_back([&, i] {
-        ClockParticipant worker(ClockParticipant::kAdoptPreRegistered);
+      completers.push_back(clock().spawn([&, i] {
         SpscRing<PendingItem>& queue = *queues[i];
         while (auto item = queue.receive()) {
           auto result = item->pending.wait();
@@ -201,7 +195,7 @@ ScaleReport run_scale(const ScaleScenario& scenario, const Schedule& schedule) {
           }
           completions.send(1);
         }
-      });
+      }, "completer " + std::to_string(i)));
     }
 
     // Open loop: sleep to each scheduled arrival, submit, hand off. Under

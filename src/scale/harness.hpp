@@ -21,18 +21,19 @@
 // code base, one timeline, paper-shaped contention at 100x the paper's
 // node and client counts.
 //
-// Concurrency shape (chosen for determinism, see docs/SCALE.md):
-//   * ONE submitter thread (the caller) walks the schedule open-loop:
+// Concurrency shape (see docs/SCALE.md). Every participant is a fiber of
+// the run's VirtualClock on the calling thread, so a replay is a pure
+// function of (scenario, schedule):
+//   * ONE submitter (the caller) walks the schedule open-loop:
 //     clock().sleep() to each arrival, read_ex_async(), push the pending
 //     handle onto its completer's SPSC ring. It never blocks on
 //     completions.
-//   * N completer threads model the client-side compute pool, sharded by
-//     CompleterAffinity (per target node for fingerprint-grade
-//     determinism, per logical client for the paper's one-CPU-per-client
-//     cost model): each pops a pending handle and resolves it (wait()
-//     runs demoted/interrupted kernels on the completer, paced at C —
-//     limited client CPUs queue exactly like the cost model's z term
-//     says).
+//   * N completers model the client-side compute pool, sharded by
+//     CompleterAffinity (per target node, or per logical client for the
+//     paper's one-CPU-per-client cost model): each pops a pending handle
+//     and resolves it (wait() runs demoted/interrupted kernels on the
+//     completer, paced at C — limited client CPUs queue exactly like the
+//     cost model's z term says).
 //   * Metrics and tracing are forced OFF during the run: quantile sketches
 //     ingest in completion-scheduling order, which is not part of the
 //     deterministic surface.
@@ -50,21 +51,20 @@
 
 namespace dosas::scale {
 
-/// How requests map onto completer threads.
+/// How requests map onto completers. Both are replayable: the completers
+/// are fibers run by the VirtualClock's fixed run rule, so two completers
+/// tied at one virtual instant reach a node's link in the same order on
+/// every run (tests/dst/test_replay.cpp).
 ///
-/// kNode (default): requests for storage node n resolve on completer
-/// (n % pool). All client-side users of one node's token bucket share one
-/// thread, so tied virtual instants cannot let scheduler order pick who
-/// gets the link — this is the fingerprint-grade deterministic mode, at
-/// the price of serializing client compute for any one node's demotions.
+/// kNode (default; perfbench's contend names it): requests for storage
+/// node n resolve on completer (n % pool). All client-side users of one
+/// node's token bucket share one completer, which serializes client
+/// compute for any one node's demotions — head-of-line blocking the paper
+/// does not model.
 ///
 /// kClient: requests from logical client c resolve on completer
 /// (c % pool) — the faithful one-CPU-per-client model the paper's cost
 /// terms assume (concurrent clients of one node compute in parallel).
-/// Hot-node link arbitration between two completers tied at one virtual
-/// instant is scheduler-order dependent, so run-to-run completion times
-/// can differ by a transfer slot; use it for makespan-shape scenarios,
-/// not fingerprint comparisons.
 enum class CompleterAffinity { kNode, kClient };
 
 struct ScaleScenario {

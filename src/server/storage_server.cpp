@@ -54,19 +54,13 @@ StorageServer::StorageServer(pfs::FileSystem& fs, pfs::ServerId server_id,
         if (obs::metrics_enabled()) obs::count(obs_name_ + ".worker_exceptions");
       }) {
   if (config_.probe_interval > 0.0) {
-    // Pre-register the prober's clock participation before spawning it so
-    // a VirtualClock cannot advance (and skip the first tick's phase) in
-    // the spawn window — see ClockParticipant.
-    clock().add_participant();
-    prober_ = std::thread([this] { probe_loop(); });
+    prober_ = clock().spawn([this] { probe_loop(); }, obs_name_ + " prober");
   }
 }
 
 void StorageServer::probe_loop() {
-  // The probe timer is a DST participant: between ticks it sits in a
+  // The probe timer is a clock participant: between ticks it sits in a
   // clock timed wait, so a VirtualClock jumps straight to the next tick.
-  // The count was pre-registered by the constructor.
-  ClockParticipant participant(ClockParticipant::kAdoptPreRegistered);
   std::unique_lock lock(probe_mu_);
   Seconds next = clock().now() + config_.probe_interval;
   while (true) {

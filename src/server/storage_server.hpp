@@ -39,10 +39,10 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "common/arena.hpp"
+#include "common/clock.hpp"
 #include "common/thread_pool.hpp"
 #include "fault/fault.hpp"
 #include "kernels/registry.hpp"
@@ -333,7 +333,7 @@ class StorageServer {
   bool probe_stop_ = false;
 
   ThreadPool pool_;     // workers joined by ~StorageServer via shutdown()
-  std::thread prober_;  // stopped and joined first in ~StorageServer
+  Participant prober_;  // stopped and joined first in ~StorageServer
 };
 
 }  // namespace dosas::server

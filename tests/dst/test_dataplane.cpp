@@ -39,17 +39,14 @@ std::string run_ring_pipeline() {
   ScopedClockOverride override_clock(vc);
   std::ostringstream fp;
   {
-    ClockParticipant me;
     Ring<int> ring(4);
 
-    clock().add_participant();  // consumer adopts the pre-registration below
-    std::thread consumer([&] {
-      ClockParticipant participant(ClockParticipant::kAdoptPreRegistered);
+    Participant consumer = clock().spawn([&] {
       while (auto v = ring.receive()) {
         fp << *v << '@' << std::fixed << std::setprecision(6) << clock().now()
            << '\n';
       }
-    });
+    }, "consumer");
 
     for (int i = 0; i < 16; ++i) {
       clock().sleep(0.010);  // virtual pacing: jumps, no wall time
@@ -135,7 +132,6 @@ std::string run_cluster_ledger(std::uint64_t seed) {
   ScopedClockOverride override_clock(vc);
   std::ostringstream fp;
   {
-    ClockParticipant me;
     core::ClusterConfig cfg;
     cfg.storage_nodes = 1;
     cfg.cores_per_node = 1;
@@ -178,7 +174,6 @@ std::string run_mixed_ledger(std::uint64_t seed) {
   ScopedClockOverride override_clock(vc);
   std::ostringstream fp;
   {
-    ClockParticipant me;
     core::ClusterConfig cfg;
     cfg.storage_nodes = 1;
     cfg.cores_per_node = 1;

@@ -123,8 +123,6 @@ ScenarioOutput run_serialized(std::uint64_t seed, Seconds stall_ms = 40.0) {
   ScenarioOutput out;
   const Seconds wall_start = wall_clock().now();
   {
-    ClockParticipant me;  // the application thread counts toward quiescence
-
     ClusterConfig cfg;
     cfg.storage_nodes = 1;
     cfg.cores_per_node = 1;
@@ -181,8 +179,6 @@ ScenarioOutput run_striped(std::uint64_t seed) {
   ScenarioOutput out;
   const Seconds wall_start = wall_clock().now();
   {
-    ClockParticipant me;
-
     ClusterConfig cfg;
     cfg.storage_nodes = 4;
     cfg.strip_size = 64_KiB;
@@ -275,8 +271,6 @@ CausalOutput run_causal(std::uint64_t seed) {
 
   CausalOutput out;
   {
-    ClockParticipant me;
-
     ClusterConfig cfg;
     cfg.storage_nodes = 1;
     cfg.cores_per_node = 1;

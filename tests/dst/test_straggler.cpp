@@ -96,8 +96,6 @@ StragglerOutput run_straggler(std::uint64_t seed, bool hedge) {
 
   StragglerOutput out;
   {
-    ClockParticipant me;
-
     ClusterConfig cfg;
     cfg.storage_nodes = 4;
     cfg.strip_size = 64_KiB;

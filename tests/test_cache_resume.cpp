@@ -380,8 +380,6 @@ TEST(Resumption, ResubmitKeepsTheLinkLedgerBalanced) {
   // first round's checkpoint included.
   VirtualClock vc;
   ScopedClockOverride override_clock(vc);
-  ClockParticipant me;
-
   ClusterConfig cfg;
   cfg.storage_nodes = 1;
   cfg.cores_per_node = 1;

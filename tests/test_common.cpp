@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <exception>
+#include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -414,6 +418,18 @@ TEST(Clock, GlobalDefaultsToWallClock) {
   EXPECT_EQ(&clock(), &wall_clock());
 }
 
+TEST(Clock, WallClockSpawnRunsAnOsThread) {
+  const std::thread::id self = std::this_thread::get_id();
+  std::thread::id ran_on;
+  Participant p = wall_clock().spawn([&] { ran_on = std::this_thread::get_id(); }, "worker");
+  ASSERT_TRUE(p.joinable());
+  p.join();
+  EXPECT_FALSE(p.joinable());
+  EXPECT_NE(ran_on, std::thread::id{});
+  EXPECT_NE(ran_on, self);
+  EXPECT_EQ(wall_clock().status().participants, 0);
+}
+
 TEST(Clock, ScopedOverrideInstallsAndRestores) {
   VirtualClock vc;
   {
@@ -459,31 +475,23 @@ TEST(VirtualClock, ParticipantQuiescenceJumpsToEarliestDeadline) {
   ScopedClockOverride override_clock(vc);
   std::mutex mu;
   std::condition_variable cv;
-  std::atomic<int> order{0};
+  int order = 0;
   int first = 0;
   int second = 0;
 
-  std::thread a;
-  std::thread b;
-  {
-    // The main thread registers as a runnable participant so virtual time
-    // holds still until BOTH waiters are armed, regardless of scheduling.
-    ClockParticipant gate;
-    a = std::thread([&] {
-      ClockParticipant participant;
-      std::unique_lock lock(mu);
-      vc.timed_wait(cv, lock, 1.0, [] { return false; });
-      first = ++order;
-    });
-    b = std::thread([&] {
-      ClockParticipant participant;
-      std::unique_lock lock(mu);
-      vc.timed_wait(cv, lock, 5.0, [] { return false; });
-      second = ++order;
-    });
-    while (vc.status().blocked < 2) std::this_thread::yield();
-  }  // gate released: quiescent -> jump to 1.0 (wakes a), later to 5.0
-  a.join();
+  // Spawned fibers first run when the clock thread blocks (here, in
+  // join), so both deadlines are armed before virtual time moves.
+  Participant a = vc.spawn([&] {
+    std::unique_lock lock(mu);
+    vc.timed_wait(cv, lock, 1.0, [] { return false; });
+    first = ++order;
+  }, "a");
+  Participant b = vc.spawn([&] {
+    std::unique_lock lock(mu);
+    vc.timed_wait(cv, lock, 5.0, [] { return false; });
+    second = ++order;
+  }, "b");
+  a.join();  // quiescent -> jump to 1.0 (wakes a), later to 5.0
   b.join();
   EXPECT_DOUBLE_EQ(vc.now(), 5.0);
   EXPECT_EQ(first, 1);
@@ -499,15 +507,12 @@ TEST(VirtualClock, WakeAllDeliversPredicateWithoutTimePassing) {
   bool ready = false;
   bool pred_result = false;
 
-  // Stay registered as a runnable participant: otherwise the lone blocked
-  // waiter makes the clock quiescent and it jumps straight to 100.0.
-  ClockParticipant gate;
-  std::thread waiter([&] {
-    ClockParticipant participant;
+  Participant waiter = vc.spawn([&] {
     std::unique_lock lock(mu);
     pred_result = vc.timed_wait(cv, lock, 100.0, [&] { return ready; });
-  });
-  while (vc.status().blocked < 1) std::this_thread::yield();
+  }, "waiter");
+  vc.yield();  // the waiter runs until it parks; the clock thread stays runnable
+  EXPECT_EQ(vc.status().blocked, 1);
   {
     std::lock_guard lock(mu);
     ready = true;
@@ -525,12 +530,11 @@ TEST(VirtualClock, UntimedWaitWakesOnPoke) {
   std::condition_variable cv;
   bool ready = false;
 
-  std::thread waiter([&] {
-    ClockParticipant participant;
+  Participant waiter = vc.spawn([&] {
     std::unique_lock lock(mu);
     vc.wait(cv, lock, [&] { return ready; });
-  });
-  while (vc.status().blocked < 1) std::this_thread::yield();
+  }, "waiter");
+  vc.yield();
   {
     std::lock_guard lock(mu);
     ready = true;
@@ -547,21 +551,178 @@ TEST(VirtualClock, StatusReportsWaiters) {
   std::condition_variable cv;
   bool done = false;
 
-  std::thread waiter([&] {
-    ClockParticipant participant;
+  Participant waiter = vc.spawn([&] {
     std::unique_lock lock(mu);
     vc.wait(cv, lock, [&] { return done; });
-  });
-  while (vc.status().blocked < 1) std::this_thread::yield();
+  }, "waiter");
+  vc.yield();
   const Clock::Status st = vc.status();
-  EXPECT_EQ(st.participants, 1u);
-  EXPECT_EQ(st.blocked, 1u);
+  EXPECT_EQ(st.participants, 1);
+  EXPECT_EQ(st.blocked, 1);
   {
     std::lock_guard lock(mu);
     done = true;
   }
   vc.wake_all(cv);
   waiter.join();
+  EXPECT_EQ(vc.status().participants, 0);
+}
+
+// The run rule: FIFO by when a participant became runnable, ties (one wake
+// or one deadline making several runnable) by spawn order.
+TEST(VirtualClock, RunRuleIsFifoWithTiesBySpawnOrder) {
+  VirtualClock vc;
+  ScopedClockOverride override_clock(vc);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool go = false;
+  std::string log;
+
+  const std::vector<std::string> names = {"a", "b", "c"};
+  std::vector<Participant> fibers;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    fibers.push_back(vc.spawn([&, i] {
+      log += names[i];
+      vc.sleep(1.0);  // one deadline for all three: fires in spawn order
+      log += names[i];
+      vc.sleep(0.1 * static_cast<double>(3 - i));  // c wakes first, then b, a
+      log += names[i];
+      std::unique_lock lock(mu);
+      vc.wait(cv, lock, [&] { return go; });  // parked c, b, a; one wake for all
+      log += names[i];
+    }, names[i]));
+  }
+  vc.sleep(2.0);
+  EXPECT_EQ(log, "abcabccba");
+  {
+    std::lock_guard lock(mu);
+    go = true;
+  }
+  vc.wake_all(cv);
+  for (auto& f : fibers) f.join();
+  EXPECT_EQ(log, "abcabccbaabc");
+  EXPECT_DOUBLE_EQ(vc.now(), 2.0);
+}
+
+// Fibers switching among themselves keep their own stacks and see each
+// other's heap writes — the test the sanitizer tiers run to exercise the
+// ASan stack-switch and TSan fiber annotations.
+TEST(VirtualClock, FibersKeepStackAndHeapStateAcrossSwitches) {
+  VirtualClock vc;
+  ScopedClockOverride override_clock(vc);
+  constexpr int kFibers = 4;
+  constexpr int kRounds = 40;
+  auto shared = std::make_unique<std::vector<std::uint64_t>>(kFibers * kRounds, 0);
+  std::uint64_t total = 0;  // written by every fiber, ordered only by the switches
+  std::vector<std::uint64_t> stack_sums(kFibers, 0);
+
+  std::vector<Participant> fibers;
+  for (int f = 0; f < kFibers; ++f) {
+    fibers.push_back(vc.spawn([&, f] {
+      std::uint64_t frame[512];
+      for (int r = 0; r < kRounds; ++r) {
+        for (std::uint64_t& x : frame) x = static_cast<std::uint64_t>(f * 1000 + r);
+        (*shared)[static_cast<std::size_t>(f * kRounds + r)] = static_cast<std::uint64_t>(r);
+        total += 1;
+        vc.sleep(0.001 * (f + 1));  // interleave with the other fibers
+        for (const std::uint64_t x : frame) stack_sums[f] += x;
+      }
+    }, "toucher " + std::to_string(f)));
+  }
+  for (auto& p : fibers) p.join();
+
+  EXPECT_EQ(total, static_cast<std::uint64_t>(kFibers * kRounds));
+  for (int f = 0; f < kFibers; ++f) {
+    std::uint64_t expect = 0;
+    for (int r = 0; r < kRounds; ++r) expect += 512u * static_cast<std::uint64_t>(f * 1000 + r);
+    EXPECT_EQ(stack_sums[f], expect) << "fiber " << f;
+    for (int r = 0; r < kRounds; ++r) {
+      EXPECT_EQ((*shared)[static_cast<std::size_t>(f * kRounds + r)], static_cast<std::uint64_t>(r));
+    }
+  }
+}
+
+// Each fiber keeps its own C++ exception state across a switch: a fiber
+// suspended inside a catch handler rethrows its own exception, not the one
+// another fiber is handling meanwhile.
+TEST(VirtualClock, FibersSuspendedInCatchHandlersKeepTheirOwnExceptions) {
+  VirtualClock vc;
+  ScopedClockOverride override_clock(vc);
+  std::string a_msg;
+  std::string b_msg;
+  auto handler = [&vc](const char* what, Seconds nap, std::string& seen) {
+    try {
+      throw std::runtime_error(what);
+    } catch (...) {
+      vc.sleep(nap);  // the other fiber throws and catches meanwhile
+      try {
+        throw;
+      } catch (const std::exception& e) {
+        seen = e.what();
+      }
+    }
+  };
+  Participant a = vc.spawn([&] { handler("a", 1.0, a_msg); }, "a");
+  Participant b = vc.spawn([&] { handler("b", 2.0, b_msg); }, "b");
+  a.join();
+  b.join();
+  EXPECT_EQ(a_msg, "a");
+  EXPECT_EQ(b_msg, "b");
+  EXPECT_EQ(std::uncaught_exceptions(), 0);
+}
+
+TEST(VirtualClockDeathTest, ExceptionEscapingAFiberEndsTheProcessNamingIt) {
+  EXPECT_DEATH(
+      {
+        VirtualClock vc;
+        Participant p = vc.spawn([] { throw std::runtime_error("boom"); }, "thrower");
+        p.join();
+      },
+      "thrower.*boom");
+}
+
+TEST(VirtualClockDeathTest, DeadlockAbortsNamingTheBlockedParticipants) {
+  EXPECT_DEATH(
+      {
+        VirtualClock vc;
+        std::mutex mu;
+        std::condition_variable cv;
+        Participant p = vc.spawn([&] {
+          std::unique_lock lock(mu);
+          vc.wait(cv, lock, [] { return false; });
+        }, "forgotten");
+        p.join();
+      },
+      "deadlock.*forgotten.*wait");
+}
+
+TEST(VirtualClockDeathTest, BlockingFromAForeignThreadAborts) {
+  EXPECT_DEATH(
+      {
+        VirtualClock vc;
+        std::thread t([&] { vc.sleep(1.0); });
+        t.join();
+      },
+      "sleep\\(\\) called from an OS thread");
+}
+
+TEST(VirtualClockDeathTest, WaitingWhileHoldingAnotherMutexIsNamed) {
+  EXPECT_DEATH(
+      {
+        VirtualClock vc;
+        std::mutex mu;
+        std::condition_variable cv;
+        bool ready = false;
+        Participant p = vc.spawn([&] {
+          std::lock_guard held(mu);
+          ready = true;
+          vc.wake_all(cv);
+          vc.sleep(1.0);  // suspended while holding mu
+        }, "holder");
+        std::unique_lock lock(mu);
+        vc.wait(cv, lock, [&] { return ready; });
+      },
+      "woke in wait\\(\\) but its mutex is held");
 }
 
 }  // namespace

@@ -59,8 +59,6 @@ TEST(Hedge, LoserIsCancelledAndNeverDoubleCharged) {
   VirtualClock vc;
   ScopedClockOverride override_clock(vc);
   {
-    ClockParticipant me;
-
     core::ClusterConfig cfg;
     cfg.storage_nodes = 1;
     cfg.strip_size = 64_KiB;

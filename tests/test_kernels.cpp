@@ -21,6 +21,7 @@
 #include "kernels/registry.hpp"
 #include "kernels/sum.hpp"
 #include "kernels/threshold_count.hpp"
+#include "stencil_reference.hpp"
 
 namespace dosas::kernels {
 namespace {
@@ -527,12 +528,49 @@ TEST(Gaussian2d, FullModeMatchesReference) {
   EXPECT_EQ(out_rows, rows - 2);
   EXPECT_EQ(width, w);
 
-  const auto expect = Gaussian2dKernel::filter_reference(grid, w);
+  const auto expect = reference::gaussian_filter(grid, w);
   ASSERT_EQ(expect.size(), out_rows * w);
   for (double e : expect) {
     double got;
     ASSERT_TRUE(r.get_f64(got));
-    ASSERT_NEAR(got, e, 1e-12);
+    ASSERT_TRUE(reference::same_bits(got, e)) << got << " vs " << e;
+  }
+  EXPECT_TRUE(r.exhausted());
+}
+
+TEST(Gaussian2d, FullModeMatchesReferenceBitForBitOnSignedZerosAndSpecials) {
+  // Rows 0-3 are all -0.0 (so rows 1-2 filter all -0.0 neighbourhoods,
+  // which must stay -0.0); the rest mix NaN, +-inf and +-0 into noise.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf, 0.0, -0.0};
+  const std::size_t w = 8, rows = 16;
+  std::vector<double> grid = random_doubles(w * rows, 91);
+  Rng rng(91);
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    if (i < 4 * w) {
+      grid[i] = -0.0;
+    } else if (rng.uniform_index(4) == 0) {
+      grid[i] = specials[rng.uniform_index(5)];
+    }
+  }
+  Gaussian2dKernel k(w, Gaussian2dKernel::Mode::kFull);
+  k.consume(doubles_to_bytes(grid));
+
+  const auto result = k.finalize();
+  ByteReader r(result);
+  std::uint64_t out_rows = 0, width = 0;
+  ASSERT_TRUE(r.get_u64(out_rows));
+  ASSERT_TRUE(r.get_u64(width));
+  const auto expect = reference::gaussian_filter(grid, w);
+  ASSERT_EQ(expect.size(), out_rows * w);
+  for (std::size_t i = 0; i < expect.size(); ++i) {
+    double got;
+    ASSERT_TRUE(r.get_f64(got));
+    if (i < 2 * w) {
+      ASSERT_TRUE(std::signbit(got)) << "pixel " << i << " lost the sign of -0.0";
+    }
+    ASSERT_TRUE(reference::same_bits(got, expect[i]))
+        << "pixel " << i << ": " << got << " vs " << expect[i];
   }
   EXPECT_TRUE(r.exhausted());
 }

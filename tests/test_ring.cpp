@@ -77,14 +77,14 @@ TEST(Ring, CloseWakesBlockedReceiver) {
   VirtualClock vc;
   ScopedClockOverride override_clock(vc);
   Ring<int> ring(4);
-  std::thread t([&] {
-    ClockParticipant participant;
+  Participant t = vc.spawn([&] {
     auto v = ring.receive();
     EXPECT_FALSE(v.has_value());
-  });
-  // Deterministic rendezvous: once the clock counts the receiver as
-  // blocked it is parked inside receive() — no wall-clock sleep needed.
-  while (vc.status().blocked < 1) std::this_thread::yield();
+  }, "receiver");
+  // Deterministic rendezvous: the yield runs the receiver until it parks
+  // inside receive() — no wall-clock sleep needed.
+  vc.yield();
+  EXPECT_EQ(vc.status().blocked, 1);
   ring.close();
   t.join();
 }
@@ -96,11 +96,9 @@ TEST(Ring, CloseWhileFullUnblocksProducer) {
   ASSERT_TRUE(ring.try_send(1));
   ASSERT_TRUE(ring.try_send(2));
   std::atomic<int> send_result{-1};
-  std::thread t([&] {
-    ClockParticipant participant;
-    send_result.store(ring.send(3) ? 1 : 0);
-  });
-  while (vc.status().blocked < 1) std::this_thread::yield();
+  Participant t = vc.spawn([&] { send_result.store(ring.send(3) ? 1 : 0); }, "producer");
+  vc.yield();
+  EXPECT_EQ(vc.status().blocked, 1);
   ring.close();
   t.join();
   // The blocked send observed the close and failed; the pre-close items
@@ -115,23 +113,19 @@ TEST(Ring, ParkedConsumerIsQuiescentUnderVirtualClock) {
   VirtualClock vc;
   ScopedClockOverride override_clock(vc);
   Ring<int> ring(4);
-  std::thread consumer([&] {
-    ClockParticipant participant;
+  Participant consumer = vc.spawn([&] {
     auto v = ring.receive();
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(*v, 42);
-  });
-  while (vc.status().blocked < 1) std::this_thread::yield();
-  {
-    // With the consumer parked in the ring (no deadline), a sleeping
-    // participant is the only armed deadline — virtual time must jump
-    // straight to it. This is the DST quiescence property the ring's
-    // parking fallback exists to preserve.
-    ClockParticipant me;
-    const Seconds before = vc.now();
-    clock().sleep(5.0);
-    EXPECT_GE(vc.now(), before + 5.0);
-  }
+  }, "consumer");
+  // With the consumer parked in the ring (no deadline), the sleeping
+  // clock thread is the only armed deadline — virtual time must jump
+  // straight to it. This is the DST quiescence property the ring's
+  // parking fallback exists to preserve.
+  const Seconds before = vc.now();
+  clock().sleep(5.0);
+  EXPECT_GE(vc.now(), before + 5.0);
+  EXPECT_EQ(vc.status().blocked, 1);
   ring.send(42);
   consumer.join();
 }
@@ -265,19 +259,15 @@ TEST(SpscRing, ParkedConsumerIsQuiescentUnderVirtualClock) {
   VirtualClock vc;
   ScopedClockOverride override_clock(vc);
   SpscRing<int> ring(4);
-  std::thread consumer([&] {
-    ClockParticipant participant;
+  Participant consumer = vc.spawn([&] {
     auto v = ring.receive();
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(*v, 42);
-  });
-  while (vc.status().blocked < 1) std::this_thread::yield();
-  {
-    ClockParticipant me;
-    const Seconds before = vc.now();
-    clock().sleep(5.0);
-    EXPECT_GE(vc.now(), before + 5.0);
-  }
+  }, "consumer");
+  const Seconds before = vc.now();
+  clock().sleep(5.0);
+  EXPECT_GE(vc.now(), before + 5.0);
+  EXPECT_EQ(vc.status().blocked, 1);
   ring.send(42);
   consumer.join();
 }
@@ -289,11 +279,9 @@ TEST(SpscRing, CloseWakesBlockedConsumerAndFullProducer) {
   ASSERT_TRUE(ring.try_send(1));
   ASSERT_TRUE(ring.try_send(2));
   std::atomic<int> send_result{-1};
-  std::thread producer([&] {
-    ClockParticipant participant;
-    send_result.store(ring.send(3) ? 1 : 0);
-  });
-  while (vc.status().blocked < 1) std::this_thread::yield();
+  Participant producer = vc.spawn([&] { send_result.store(ring.send(3) ? 1 : 0); }, "producer");
+  vc.yield();
+  EXPECT_EQ(vc.status().blocked, 1);
   ring.close();
   producer.join();
   EXPECT_EQ(send_result.load(), 0);

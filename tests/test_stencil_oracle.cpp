@@ -2,8 +2,9 @@
 // match, bit for bit, the pixel-at-a-time loops they replaced. The
 // reference kernels below are those loops as they stood before the shared
 // row window (kernels/row_window.hpp) and gaussian2d's vector row pass:
-// every row copied out of the chunk twice, one pixel per iteration,
-// accumulators updated in place. They also write the checkpoint encoding
+// every row copied out of the chunk twice, one pixel per iteration (the
+// per-pixel expressions of stencil_reference.hpp), accumulators updated
+// in place. They also write the checkpoint encoding
 // the kernels must keep byte for byte.
 //
 // Every chunk is handed over in its own heap buffer that is freed as soon
@@ -30,14 +31,12 @@
 #include "kernels/gaussian2d.hpp"
 #include "kernels/sobel2d.hpp"
 #include "scale/traffic.hpp"
+#include "stencil_reference.hpp"
 
 namespace dosas::kernels {
 namespace {
 
 // ---------------------------------------------------------------- reference loops
-
-constexpr double kW[3][3] = {{1, 2, 1}, {2, 4, 2}, {1, 2, 1}};
-constexpr double kDivisor = 16.0;
 
 std::vector<std::uint8_t> rows_to_blob(const std::vector<double>& row) {
   std::vector<std::uint8_t> b(row.size() * sizeof(double));
@@ -162,10 +161,7 @@ class RefGaussian final : public RefStencil {
     for (std::size_t x = 0; x < w; ++x) {
       const std::size_t xl = x == 0 ? 0 : x - 1;
       const std::size_t xr = x + 1 == w ? x : x + 1;
-      const double v = (kW[0][0] * above[xl] + kW[0][1] * above[x] + kW[0][2] * above[xr] +
-                        kW[1][0] * center[xl] + kW[1][1] * center[x] + kW[1][2] * center[xr] +
-                        kW[2][0] * below[xl] + kW[2][1] * below[x] + kW[2][2] * below[xr]) /
-                       kDivisor;
+      const double v = reference::gaussian_pixel(above, center, below, xl, x, xr);
       if (out_count_ == 0) {
         min_ = max_ = v;
       } else {
@@ -222,11 +218,7 @@ class RefSobel final : public RefStencil {
     for (std::size_t x = 0; x < w; ++x) {
       const std::size_t xl = x == 0 ? 0 : x - 1;
       const std::size_t xr = x + 1 == w ? x : x + 1;
-      const double gx = -above[xl] + above[xr] - 2.0 * center[xl] + 2.0 * center[xr] -
-                        below[xl] + below[xr];
-      const double gy = -above[xl] - 2.0 * above[x] - above[xr] + below[xl] +
-                        2.0 * below[x] + below[xr];
-      const double mag = std::sqrt(gx * gx + gy * gy);
+      const double mag = reference::sobel_magnitude(above, center, below, xl, x, xr);
       if (mag > threshold_) ++edges_;
       if (mag > max_mag_) max_mag_ = mag;
       sum_mag_ += mag;

@@ -23,6 +23,13 @@
 # wall_clock() for the few sites that measure *physical* machine speed
 # (kernel calibration, bench timing, DST speedup checks).
 #
+# Also banned in src/ outside src/common/clock.{hpp,cpp}: std::thread. A
+# participant is started with clock().spawn(), the one seam that makes it
+# a fiber under a VirtualClock and an OS thread under the WallClock; a raw
+# thread would run beside the virtual world's scheduler. (Tests, benches
+# and tools may still start OS threads for real concurrency on the
+# WallClock.)
+#
 # Usage: tools/check_clock.sh [repo-root]   (exit 0 = clean, 1 = violation)
 set -u
 
@@ -35,12 +42,22 @@ hits=$(grep -rnE "$pattern" src tests bench tools examples \
   --include='*.cpp' --include='*.hpp' 2>/dev/null \
   | grep -v '^src/common/clock\.\(hpp\|cpp\):')
 
+status=0
 if [ -n "$hits" ]; then
   echo "check_clock: direct time/notify usage outside src/common/clock.{hpp,cpp}:" >&2
   echo "$hits" >&2
   echo "route it through clock() / wall_clock() instead (see src/common/clock.hpp)" >&2
-  exit 1
+  status=1
 fi
 
-echo "check_clock: all time flows through the Clock seam"
-exit 0
+thread_hits=$(grep -rnE '\bstd::thread\b' src --include='*.cpp' --include='*.hpp' 2>/dev/null \
+  | grep -v '^src/common/clock\.\(hpp\|cpp\):')
+if [ -n "$thread_hits" ]; then
+  echo "check_clock: std::thread in src/ outside src/common/clock.{hpp,cpp}:" >&2
+  echo "$thread_hits" >&2
+  echo "start participants with clock().spawn() instead (see src/common/clock.hpp)" >&2
+  status=1
+fi
+
+[ "$status" -eq 0 ] && echo "check_clock: all time flows through the Clock seam"
+exit "$status"

@@ -285,8 +285,8 @@ int cmd_runtime(const Args& args) {
 
   // --virtual-clock: run the workload in DST mode — backoff, deadlines and
   // probe ticks jump instead of sleeping. Declared before the Cluster so
-  // the override outlives every runtime thread bound to it, and installed
-  // before construction so those threads bind to the VirtualClock.
+  // the clock outlives every participant it spawned, and installed before
+  // construction so the cluster's participants are its fibers.
   std::unique_ptr<VirtualClock> vclock;
   std::unique_ptr<ScopedClockOverride> clock_override;
   if (args.has("virtual-clock")) {
@@ -464,9 +464,7 @@ int cmd_runtime(const Args& args) {
               cs.virtual_time ? "virtual" : "wall", cs.now, cs.participants, cs.blocked,
               cs.timed_waiters);
   if (cs.virtual_time) {
-    std::printf("  advances=%llu  stalled_checks=%llu",
-                static_cast<unsigned long long>(cs.advances),
-                static_cast<unsigned long long>(cs.stalled_checks));
+    std::printf("  advances=%llu", static_cast<unsigned long long>(cs.advances));
   }
   std::printf("\n%s time: %.3f s  (%zu failure(s))\n",
               cs.virtual_time ? "virtual" : "wall", report.wall_time, report.failures);
