@@ -617,26 +617,23 @@ Result<std::vector<std::uint8_t>> ActiveClient::finish_leg_locally(
   auto created = registry_.create(operation);
   if (!created.is_ok()) return created.status();
   kernels::Kernel& kernel = *created.value();
-  if (checkpoint == nullptr) {
-    kernel.reset();
-  } else {
-    auto decoded = Checkpoint::decode(*checkpoint);
-    const Status st = decoded.is_ok() ? kernel.restore(decoded.value()) : decoded.status();
-    if (!st.is_ok()) {
-      // A dropped/corrupted checkpoint (checksum mismatch -> kCorrupted)
-      // loses the server's progress but never correctness: restart the
-      // kernel cleanly over the whole extent instead of resuming from
-      // garbage — and never from silently-defaulted state.
-      {
-        std::lock_guard lock(mu_);
-        ++stats_.checkpoint_corrupt_restarts;
-      }
-      if (obs::metrics_enabled()) obs::count("client.ckpt_corrupt_restarts");
-      obs::flight_record(obs::FlightEventKind::kStateTransition, leg.ctx.trace_id, server, 0,
-                         "checkpoint corrupt: clean local restart");
-      kernel.reset();
-      from = leg.ext.object_offset;
+  kernel.reset();
+  if (checkpoint != nullptr &&
+      !kernels::resume(kernel, *checkpoint, leg.ext.object_offset,
+                       leg.ext.object_offset + leg.ext.length, from)
+           .is_ok()) {
+    // A corrupted checkpoint (kCorrupted) or one that does not fit the
+    // kernel or the extent (kInvalidArgument) loses the server's progress
+    // but never correctness: resume() left the kernel reset, so it restarts
+    // cleanly over the whole extent — never from silently-defaulted state.
+    {
+      std::lock_guard lock(mu_);
+      ++stats_.checkpoint_corrupt_restarts;
     }
+    if (obs::metrics_enabled()) obs::count("client.ckpt_corrupt_restarts");
+    obs::flight_record(obs::FlightEventKind::kStateTransition, leg.ctx.trace_id, server, 0,
+                       "checkpoint refused: clean local restart");
+    from = leg.ext.object_offset;
   }
   obs::flight_record(info.flight, leg.ctx.trace_id, server, checkpoint != nullptr ? from : 0,
                      info.flight_msg);

@@ -6,6 +6,7 @@
 // state: pass an Rng by reference (CP.3 — no shared mutable statics).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
 
@@ -16,6 +17,7 @@ namespace dosas {
 class Rng {
  public:
   using result_type = std::uint64_t;
+  using State = std::array<std::uint64_t, 4>;
 
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) { reseed(seed); }
 
@@ -30,6 +32,11 @@ class Rng {
     };
     for (auto& w : state_) w = next();
   }
+
+  /// The xoshiro words, to resume the stream elsewhere. The all-zero state
+  /// is a fixed point (every draw is 0); reseed() never produces it.
+  State state() const { return state_; }
+  void set_state(const State& s) { state_ = s; }
 
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return std::numeric_limits<result_type>::max(); }
@@ -82,7 +89,7 @@ class Rng {
 
  private:
   static std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-  std::uint64_t state_[4]{};
+  State state_{};
 };
 
 }  // namespace dosas

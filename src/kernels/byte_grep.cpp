@@ -58,35 +58,6 @@ Bytes ByteGrepKernel::result_size(Bytes input) const {
   return 2 * sizeof(std::uint64_t);
 }
 
-Checkpoint ByteGrepKernel::checkpoint() const {
-  Checkpoint ck;
-  ck.set_string("kernel", name());
-  ck.set_string("pattern", pattern_);
-  ck.set_i64("consumed", static_cast<std::int64_t>(consumed_));
-  ck.set_i64("matches", static_cast<std::int64_t>(matches_));
-  ck.set_blob("tail", tail_);
-  return ck;
-}
-
-Status ByteGrepKernel::restore(const Checkpoint& ck) {
-  if (ck.get_string("kernel") != name()) {
-    return error(ErrorCode::kInvalidArgument, "checkpoint is not a bytegrep checkpoint");
-  }
-  if (ck.get_string("pattern") != pattern_) {
-    return error(ErrorCode::kInvalidArgument, "bytegrep: checkpoint pattern mismatch");
-  }
-  const auto* tail = ck.get_blob("tail");
-  if (tail == nullptr) return error(ErrorCode::kInvalidArgument, "bytegrep: missing tail");
-  consumed_ = static_cast<Bytes>(ck.get_i64("consumed"));
-  matches_ = static_cast<std::uint64_t>(ck.get_i64("matches"));
-  tail_ = *tail;
-  return Status::ok();
-}
-
-std::unique_ptr<Kernel> ByteGrepKernel::clone() const {
-  return std::make_unique<ByteGrepKernel>(pattern_);
-}
-
 Result<ByteGrepResult> ByteGrepResult::decode(std::span<const std::uint8_t> bytes) {
   std::vector<std::uint8_t> buf(bytes.begin(), bytes.end());
   ByteReader r(buf);

@@ -33,9 +33,12 @@ class ByteGrepKernel final : public Kernel {
   Bytes consumed() const override { return consumed_; }
   std::vector<std::uint8_t> finalize() const override;
   Bytes result_size(Bytes input) const override;
-  Checkpoint checkpoint() const override;
-  Status restore(const Checkpoint& ck) override;
-  std::unique_ptr<Kernel> clone() const override;
+  void fields(Fields& f) override {
+    f.config("pattern", pattern_);
+    f.counter("consumed", consumed_);
+    f.counter("matches", matches_);
+    f.array("tail", tail_, {.max = pattern_.size() - 1});
+  }
 
   const std::string& pattern() const { return pattern_; }
 

@@ -136,45 +136,15 @@ Bytes Gaussian2dKernel::result_size(Bytes input) const {
   return 2 * sizeof(std::uint64_t) + out_rows * row_bytes;
 }
 
-Checkpoint Gaussian2dKernel::checkpoint() const {
-  Checkpoint ck;
-  window_.save(ck, name());
-  ck.set_string("mode", mode_ == Mode::kDigest ? "digest" : "full");
-  ck.set_i64("out_rows", static_cast<std::int64_t>(out_rows_));
-  ck.set_i64("out_count", static_cast<std::int64_t>(out_count_));
-  ck.set_f64("sum", sum_);
-  ck.set_f64("min", min_);
-  ck.set_f64("max", max_);
-  if (mode_ == Mode::kFull) {
-    const auto* p = reinterpret_cast<const std::uint8_t*>(full_out_.data());
-    ck.set_blob("full_out", std::vector<std::uint8_t>(p, p + full_out_.size() * sizeof(double)));
-  }
-  return ck;
-}
-
-Status Gaussian2dKernel::restore(const Checkpoint& ck) {
-  if ((mode_ == Mode::kDigest) != (ck.get_string("mode") == "digest")) {
-    return error(ErrorCode::kInvalidArgument, "gaussian2d: checkpoint mode mismatch");
-  }
-  const auto* full = ck.get_blob("full_out");
-  if (mode_ == Mode::kFull && (full == nullptr || full->size() % sizeof(double) != 0)) {
-    return error(ErrorCode::kInvalidArgument, "gaussian2d: checkpoint output missing or torn");
-  }
-  if (Status s = window_.load(ck, name()); !s.is_ok()) return s;
-  out_rows_ = static_cast<std::uint64_t>(ck.get_i64("out_rows"));
-  out_count_ = static_cast<std::uint64_t>(ck.get_i64("out_count"));
-  sum_ = ck.get_f64("sum");
-  min_ = ck.get_f64("min");
-  max_ = ck.get_f64("max");
-  if (mode_ == Mode::kFull) {
-    full_out_.resize(full->size() / sizeof(double));
-    if (!full->empty()) std::memcpy(full_out_.data(), full->data(), full->size());
-  }
-  return Status::ok();
-}
-
-std::unique_ptr<Kernel> Gaussian2dKernel::clone() const {
-  return std::make_unique<Gaussian2dKernel>(width(), mode_);
+void Gaussian2dKernel::fields(Fields& f) {
+  window_.fields(f);
+  f.config("mode", mode_ == Mode::kDigest ? "digest" : "full");
+  f.counter("out_rows", out_rows_);
+  f.counter("out_count", out_count_);
+  f.counter("sum", sum_);
+  f.counter("min", min_);
+  f.counter("max", max_);
+  if (mode_ == Mode::kFull) f.array("full_out", full_out_, {.step = width()});  // whole rows
 }
 
 Result<GaussianDigest> GaussianDigest::decode(std::span<const std::uint8_t> bytes) {

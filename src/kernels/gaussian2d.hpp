@@ -21,7 +21,7 @@
 // into a chunk is kept past consume(). Vector lanes filter adjacent columns
 // with the per-pixel loop's products, sums and divide in its order, and the
 // fold into sum/min/max runs in column order, so results are bit-exact.
-// restore() also refuses a full_out blob that is not whole doubles.
+// A restore also refuses another mode, and a full_out that is not whole rows.
 #pragma once
 
 #include "kernels/kernel.hpp"
@@ -56,9 +56,7 @@ class Gaussian2dKernel final : public Kernel {
   Bytes consumed() const override { return window_.consumed(); }
   std::vector<std::uint8_t> finalize() const override;
   Bytes result_size(Bytes input) const override;
-  Checkpoint checkpoint() const override;
-  Status restore(const Checkpoint& ck) override;
-  std::unique_ptr<Kernel> clone() const override;
+  void fields(Fields& f) override;
 
   /// Full mode doubles as a pipeline transformer: drain_stream() hands out
   /// the filtered values (raw doubles) produced so far and removes them

@@ -61,48 +61,6 @@ Bytes HistogramKernel::result_size(Bytes input) const {
   return sizeof(std::uint32_t) + 2 * sizeof(double) + (2 + counts_.size()) * sizeof(std::uint64_t);
 }
 
-Checkpoint HistogramKernel::checkpoint() const {
-  Checkpoint ck;
-  ck.set_string("kernel", name());
-  ck.set_f64("lo", lo_);
-  ck.set_f64("hi", hi_);
-  ck.set_i64("below", static_cast<std::int64_t>(below_));
-  ck.set_i64("above", static_cast<std::int64_t>(above_));
-  ByteWriter w;
-  w.put_u32(static_cast<std::uint32_t>(counts_.size()));
-  for (auto c : counts_) w.put_u64(c);
-  ck.set_blob("counts", w.take());
-  save_carry(ck);
-  return ck;
-}
-
-Status HistogramKernel::restore(const Checkpoint& ck) {
-  if (ck.get_string("kernel") != name()) {
-    return error(ErrorCode::kInvalidArgument, "checkpoint is not a histogram checkpoint");
-  }
-  lo_ = ck.get_f64("lo");
-  hi_ = ck.get_f64("hi");
-  below_ = static_cast<std::uint64_t>(ck.get_i64("below"));
-  above_ = static_cast<std::uint64_t>(ck.get_i64("above"));
-  const auto* blob = ck.get_blob("counts");
-  if (blob == nullptr) return error(ErrorCode::kInvalidArgument, "histogram: missing counts");
-  ByteReader r(*blob);
-  std::uint32_t bins = 0;
-  if (!r.get_u32(bins)) return error(ErrorCode::kInvalidArgument, "histogram: bad counts blob");
-  if (r.remaining() != static_cast<std::size_t>(bins) * sizeof(std::uint64_t)) {
-    return error(ErrorCode::kInvalidArgument, "histogram: counts blob size mismatch");
-  }
-  counts_.assign(bins, 0);
-  for (auto& c : counts_) {
-    if (!r.get_u64(c)) return error(ErrorCode::kInvalidArgument, "histogram: bad counts blob");
-  }
-  return load_carry(ck);
-}
-
-std::unique_ptr<Kernel> HistogramKernel::clone() const {
-  return std::make_unique<HistogramKernel>(static_cast<std::uint32_t>(counts_.size()), lo_, hi_);
-}
-
 Status HistogramKernel::merge(std::span<const std::uint8_t> other_result) {
   auto other = HistogramResult::decode(other_result);
   if (!other.is_ok()) return other.status();

@@ -38,9 +38,15 @@ class HistogramKernel final : public ItemwiseKernel {
   std::string name() const override { return "histogram"; }
   std::vector<std::uint8_t> finalize() const override;
   Bytes result_size(Bytes input) const override;
-  Checkpoint checkpoint() const override;
-  Status restore(const Checkpoint& ck) override;
-  std::unique_ptr<Kernel> clone() const override;
+  void fields(Fields& f) override {
+    ItemwiseKernel::fields(f);
+    f.config("bins", counts_.size());
+    f.config("lo", lo_);
+    f.config("hi", hi_);
+    f.counter("below", below_);
+    f.counter("above", above_);
+    f.array("counts", counts_, {.min = counts_.size(), .max = counts_.size()});
+  }
   bool mergeable() const override { return true; }
   Status merge(std::span<const std::uint8_t> other_result) override;
 

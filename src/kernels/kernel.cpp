@@ -11,22 +11,15 @@ void ItemwiseKernel::consume(std::span<const std::uint8_t> chunk) {
   consumed_ += chunk.size();
 
   // Complete a partial item carried from the previous chunk.
-  if (carry_len_ > 0) {
-    const std::size_t need = sizeof(double) - carry_len_;
-    const std::size_t take = std::min(need, chunk.size());
-    // Empty chunks have a null data(); memcpy's pointers must be non-null
-    // even for size 0.
-    if (take > 0) std::memcpy(carry_ + carry_len_, chunk.data(), take);
-    carry_len_ += take;
+  if (!carry_.empty()) {
+    const std::size_t take = std::min(sizeof(double) - carry_.size(), chunk.size());
+    carry_.insert(carry_.end(), chunk.begin(), chunk.begin() + static_cast<std::ptrdiff_t>(take));
     chunk = chunk.subspan(take);
-    if (carry_len_ == sizeof(double)) {
-      double item;
-      std::memcpy(&item, carry_, sizeof(double));
-      process_items(std::span(&item, 1));
-      carry_len_ = 0;
-    } else {
-      return;  // chunk exhausted without completing the item
-    }
+    if (carry_.size() < sizeof(double)) return;  // chunk exhausted without completing the item
+    double item;
+    std::memcpy(&item, carry_.data(), sizeof(double));
+    process_items(std::span(&item, 1));
+    carry_.clear();
   }
 
   // Process the whole-item middle.
@@ -60,31 +53,8 @@ void ItemwiseKernel::consume(std::span<const std::uint8_t> chunk) {
   }
 
   // Stash the trailing partial item.
-  const std::size_t tail = chunk.size() % sizeof(double);
-  if (tail > 0) {
-    std::memcpy(carry_, chunk.data() + chunk.size() - tail, tail);
-    carry_len_ = tail;
-  }
-}
-
-void ItemwiseKernel::save_carry(Checkpoint& ck) const {
-  ck.set_i64("itemwise.consumed", static_cast<std::int64_t>(consumed_));
-  ck.set_blob("itemwise.carry",
-              std::vector<std::uint8_t>(carry_, carry_ + carry_len_));
-}
-
-Status ItemwiseKernel::load_carry(const Checkpoint& ck) {
-  if (!ck.has_i64("itemwise.consumed") || ck.get_blob("itemwise.carry") == nullptr) {
-    return error(ErrorCode::kInvalidArgument, "checkpoint missing itemwise state");
-  }
-  consumed_ = static_cast<Bytes>(ck.get_i64("itemwise.consumed"));
-  const auto& carry = *ck.get_blob("itemwise.carry");
-  if (carry.size() >= sizeof(double)) {
-    return error(ErrorCode::kInvalidArgument, "checkpoint carry too large");
-  }
-  if (!carry.empty()) std::memcpy(carry_, carry.data(), carry.size());
-  carry_len_ = carry.size();
-  return Status::ok();
+  carry_.assign(chunk.end() - static_cast<std::ptrdiff_t>(chunk.size() % sizeof(double)),
+                chunk.end());
 }
 
 }  // namespace dosas::kernels

@@ -8,7 +8,9 @@
 //
 //   * streaming: data arrives in arbitrary chunk boundaries via consume();
 //   * restartable: checkpoint() captures complete state, restore() resumes
-//     on a *different* Kernel instance (e.g. client-side after a demotion);
+//     on a *different* Kernel instance (e.g. client-side after a demotion).
+//     Both run the one state declaration each kernel writes, fields()
+//     (fields.hpp), so no restore trusts a checkpoint that does not fit;
 //   * mergeable (optional): partial results from different stripes of a
 //     striped file can be combined (the Piernas-style striped-file
 //     extension the paper lists as related work).
@@ -18,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "common/serialize.hpp"
 #include "common/status.hpp"
 #include "common/units.hpp"
+#include "kernels/fields.hpp"
 
 namespace dosas::kernels {
 
@@ -52,15 +54,17 @@ class Kernel {
   /// h(x) of the cost model: encoded result size for `input` bytes of data.
   virtual Bytes result_size(Bytes input) const = 0;
 
-  /// Serialize complete execution state (paper's variable dump).
-  virtual Checkpoint checkpoint() const = 0;
+  /// Serialize complete execution state (paper's variable dump): the
+  /// declared fields, under the kernel's name.
+  Checkpoint checkpoint() const { return Fields::save(*this); }
 
   /// Adopt the state in `ck`; subsequent consume() calls continue the
-  /// interrupted run.
-  virtual Status restore(const Checkpoint& ck) = 0;
+  /// interrupted run. kInvalidArgument, with the kernel unchanged, unless
+  /// every declared field fits (fields.hpp).
+  Status restore(const Checkpoint& ck) { return Fields::load(*this, ck); }
 
-  /// Fresh instance with the same construction parameters and clean state.
-  virtual std::unique_ptr<Kernel> clone() const = 0;
+  /// The kernel's state, declared once: config, counters, arrays, stages.
+  virtual void fields(Fields& f) = 0;
 
   /// Whether partial results can be combined across stripes.
   virtual bool mergeable() const { return false; }
@@ -90,7 +94,7 @@ class ItemwiseKernel : public Kernel {
  public:
   void reset() override {
     consumed_ = 0;
-    carry_len_ = 0;
+    carry_.clear();
     reset_state();
   }
 
@@ -98,20 +102,20 @@ class ItemwiseKernel : public Kernel {
 
   Bytes consumed() const override { return consumed_; }
 
+  /// The shared stream state; subclasses declare theirs after it.
+  void fields(Fields& f) override {
+    f.counter("itemwise.consumed", consumed_);
+    f.array("itemwise.carry", carry_, {.max = sizeof(double) - 1});
+  }
+
  protected:
   /// Subclass state hooks.
   virtual void reset_state() = 0;
   virtual void process_items(std::span<const double> items) = 0;
 
-  /// Checkpoint/restore helpers for the shared carry state. Subclasses
-  /// call these from their checkpoint()/restore().
-  void save_carry(Checkpoint& ck) const;
-  Status load_carry(const Checkpoint& ck);
-
  private:
   Bytes consumed_ = 0;
-  std::uint8_t carry_[sizeof(double)] = {};
-  std::size_t carry_len_ = 0;
+  std::vector<std::uint8_t> carry_;  // a partial item's bytes
 };
 
 }  // namespace dosas::kernels

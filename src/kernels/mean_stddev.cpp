@@ -25,30 +25,6 @@ Bytes MeanStddevKernel::result_size(Bytes input) const {
   return sizeof(std::uint64_t) + 2 * sizeof(double);
 }
 
-Checkpoint MeanStddevKernel::checkpoint() const {
-  Checkpoint ck;
-  ck.set_string("kernel", name());
-  ck.set_i64("count", static_cast<std::int64_t>(count_));
-  ck.set_f64("mean", mean_);
-  ck.set_f64("m2", m2_);
-  save_carry(ck);
-  return ck;
-}
-
-Status MeanStddevKernel::restore(const Checkpoint& ck) {
-  if (ck.get_string("kernel") != name()) {
-    return error(ErrorCode::kInvalidArgument, "checkpoint is not a meanstddev checkpoint");
-  }
-  count_ = static_cast<std::uint64_t>(ck.get_i64("count"));
-  mean_ = ck.get_f64("mean");
-  m2_ = ck.get_f64("m2");
-  return load_carry(ck);
-}
-
-std::unique_ptr<Kernel> MeanStddevKernel::clone() const {
-  return std::make_unique<MeanStddevKernel>();
-}
-
 Status MeanStddevKernel::merge(std::span<const std::uint8_t> other_result) {
   auto other = MeanStddevResult::decode(other_result);
   if (!other.is_ok()) return other.status();

@@ -71,28 +71,6 @@ Bytes MinMaxKernel::result_size(Bytes input) const {
   return sizeof(std::uint64_t) + 2 * sizeof(double);
 }
 
-Checkpoint MinMaxKernel::checkpoint() const {
-  Checkpoint ck;
-  ck.set_string("kernel", name());
-  ck.set_i64("count", static_cast<std::int64_t>(count_));
-  ck.set_f64("min", min_);
-  ck.set_f64("max", max_);
-  save_carry(ck);
-  return ck;
-}
-
-Status MinMaxKernel::restore(const Checkpoint& ck) {
-  if (ck.get_string("kernel") != name()) {
-    return error(ErrorCode::kInvalidArgument, "checkpoint is not a minmax checkpoint");
-  }
-  count_ = static_cast<std::uint64_t>(ck.get_i64("count"));
-  min_ = ck.get_f64("min");
-  max_ = ck.get_f64("max");
-  return load_carry(ck);
-}
-
-std::unique_ptr<Kernel> MinMaxKernel::clone() const { return std::make_unique<MinMaxKernel>(); }
-
 Status MinMaxKernel::merge(std::span<const std::uint8_t> other_result) {
   auto other = MinMaxResult::decode(other_result);
   if (!other.is_ok()) return other.status();

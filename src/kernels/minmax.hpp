@@ -31,9 +31,12 @@ class MinMaxKernel final : public ItemwiseKernel {
   std::string name() const override { return "minmax"; }
   std::vector<std::uint8_t> finalize() const override;
   Bytes result_size(Bytes input) const override;
-  Checkpoint checkpoint() const override;
-  Status restore(const Checkpoint& ck) override;
-  std::unique_ptr<Kernel> clone() const override;
+  void fields(Fields& f) override {
+    ItemwiseKernel::fields(f);
+    f.counter("count", count_);
+    f.counter("min", min_);
+    f.counter("max", max_);
+  }
   bool mergeable() const override { return true; }
   Status merge(std::span<const std::uint8_t> other_result) override;
 

@@ -89,44 +89,4 @@ Bytes PipelineKernel::result_size(Bytes input) const {
   return size;
 }
 
-Checkpoint PipelineKernel::checkpoint() const {
-  Checkpoint ck;
-  ck.set_string("kernel", name());
-  ck.set_i64("consumed", static_cast<std::int64_t>(consumed_));
-  ck.set_i64("stages", static_cast<std::int64_t>(stages_.size()));
-  for (std::size_t i = 0; i < stages_.size(); ++i) {
-    ck.set_blob("stage" + std::to_string(i), stages_[i]->checkpoint().encode());
-  }
-  return ck;
-}
-
-Status PipelineKernel::restore(const Checkpoint& ck) {
-  if (ck.get_string("kernel") != name()) {
-    return error(ErrorCode::kInvalidArgument, "checkpoint is not a pipe checkpoint");
-  }
-  if (ck.get_i64("stages", -1) != static_cast<std::int64_t>(stages_.size())) {
-    return error(ErrorCode::kInvalidArgument, "pipe: checkpoint stage count mismatch");
-  }
-  consumed_ = static_cast<Bytes>(ck.get_i64("consumed"));
-  for (std::size_t i = 0; i < stages_.size(); ++i) {
-    const auto* blob = ck.get_blob("stage" + std::to_string(i));
-    if (blob == nullptr) {
-      return error(ErrorCode::kInvalidArgument,
-                   "pipe: missing checkpoint for stage " + std::to_string(i));
-    }
-    auto decoded = Checkpoint::decode(*blob);
-    if (!decoded.is_ok()) return decoded.status();
-    Status st = stages_[i]->restore(decoded.value());
-    if (!st.is_ok()) return st;
-  }
-  return Status::ok();
-}
-
-std::unique_ptr<Kernel> PipelineKernel::clone() const {
-  std::vector<std::unique_ptr<Kernel>> fresh;
-  fresh.reserve(stages_.size());
-  for (const auto& stage : stages_) fresh.push_back(stage->clone());
-  return std::make_unique<PipelineKernel>(std::move(fresh));
-}
-
 }  // namespace dosas::kernels

@@ -48,9 +48,11 @@ class PipelineKernel final : public Kernel {
   Bytes consumed() const override { return consumed_; }
   std::vector<std::uint8_t> finalize() const override;
   Bytes result_size(Bytes input) const override;
-  Checkpoint checkpoint() const override;
-  Status restore(const Checkpoint& ck) override;
-  std::unique_ptr<Kernel> clone() const override;
+  void fields(Fields& f) override {
+    f.config("stages", stages_.size());
+    f.counter("consumed", consumed_);
+    f.stages(stages_);
+  }
 
   std::size_t stage_count() const { return stages_.size(); }
   const Kernel& stage(std::size_t i) const { return *stages_[i]; }

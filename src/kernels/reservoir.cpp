@@ -33,6 +33,24 @@ void ReservoirKernel::process_items(std::span<const double> items) {
   }
 }
 
+void ReservoirKernel::fields(Fields& f) {
+  ItemwiseKernel::fields(f);
+  f.config("n", n_);
+  f.config("seed", seed_);
+  f.counter("count", count_);
+  f.array("sample", sample_, {.max = n_});
+  // The generator's xoshiro words. All zero is refused: that state yields
+  // 0 forever, and uniform_index's rejection loop would never exit.
+  Rng::State words = rng_.state();
+  const auto* p = reinterpret_cast<const std::uint8_t*>(words.data());
+  const auto raw = f.bytes("rng", {p, sizeof words}, {.min = sizeof words, .max = sizeof words});
+  if (f.reading() && !raw.empty()) {
+    std::memcpy(words.data(), raw.data(), sizeof words);
+    f.require(words != Rng::State{}, "generator state is all zero");
+    f.commit([this, words] { rng_.set_state(words); });
+  }
+}
+
 std::vector<std::uint8_t> ReservoirKernel::finalize() const {
   ByteWriter w;
   w.put_u64(count_);
@@ -45,57 +63,6 @@ std::vector<std::uint8_t> ReservoirKernel::finalize() const {
 Bytes ReservoirKernel::result_size(Bytes input) const {
   (void)input;
   return 2 * sizeof(std::uint64_t) + sizeof(std::uint32_t) + n_ * sizeof(double);
-}
-
-Checkpoint ReservoirKernel::checkpoint() const {
-  Checkpoint ck;
-  ck.set_string("kernel", name());
-  ck.set_i64("n", static_cast<std::int64_t>(n_));
-  ck.set_i64("seed", static_cast<std::int64_t>(seed_));
-  ck.set_i64("count", static_cast<std::int64_t>(count_));
-  std::vector<std::uint8_t> sample_bytes(sample_.size() * sizeof(double));
-  if (!sample_.empty()) {
-    std::memcpy(sample_bytes.data(), sample_.data(), sample_bytes.size());
-  }
-  ck.set_blob("sample", std::move(sample_bytes));
-  // Algorithm R consumes exactly one draw per item past the fill phase, so
-  // the RNG can be reconstructed by replaying; storing the draw count
-  // (== count_) with the seed suffices — but replaying millions of draws
-  // on restore would be O(count), so persist the raw generator state via
-  // its own serialization: we re-derive it by replaying only when small
-  // and otherwise fork deterministically from (seed, count).
-  ck.set_i64("rng_replay", static_cast<std::int64_t>(count_ > n_ ? count_ - n_ : 0));
-  save_carry(ck);
-  return ck;
-}
-
-Status ReservoirKernel::restore(const Checkpoint& ck) {
-  if (ck.get_string("kernel") != name()) {
-    return error(ErrorCode::kInvalidArgument, "checkpoint is not a reservoir checkpoint");
-  }
-  if (ck.get_i64("n", -1) != static_cast<std::int64_t>(n_)) {
-    return error(ErrorCode::kInvalidArgument, "reservoir: checkpoint n mismatch");
-  }
-  seed_ = static_cast<std::uint64_t>(ck.get_i64("seed"));
-  count_ = static_cast<std::uint64_t>(ck.get_i64("count"));
-  const auto* sample = ck.get_blob("sample");
-  if (sample == nullptr) return error(ErrorCode::kInvalidArgument, "reservoir: missing sample");
-  sample_.resize(sample->size() / sizeof(double));
-  if (!sample_.empty()) {
-    std::memcpy(sample_.data(), sample->data(), sample_.size() * sizeof(double));
-  }
-  // Reconstruct the RNG by replaying the draws made so far (one per item
-  // after the fill phase). Deterministic and exact.
-  rng_.reseed(seed_);
-  const auto replay = static_cast<std::uint64_t>(ck.get_i64("rng_replay"));
-  for (std::uint64_t i = 0; i < replay; ++i) {
-    (void)rng_.uniform_index(n_ + 1 + i);  // same bounded-draw sequence shape
-  }
-  return load_carry(ck);
-}
-
-std::unique_ptr<Kernel> ReservoirKernel::clone() const {
-  return std::make_unique<ReservoirKernel>(n_, seed_);
 }
 
 Status ReservoirKernel::merge(std::span<const std::uint8_t> other_result) {

@@ -3,8 +3,9 @@
 // Returns a uniform sample of N items from the stream (Vitter's Algorithm
 // R), the active-storage answer to "give me a representative sample of this
 // dataset without reading it": h(x) = N·8 bytes. Deterministic for a given
-// seed, so interrupted/resumed runs reproduce exactly (the RNG state rides
-// in the checkpoint). Mergeable: two reservoirs combine by weighted
+// seed, so interrupted/resumed runs reproduce exactly: the checkpoint
+// carries the generator's four xoshiro words, and a restore refuses the
+// all-zero state. Mergeable: two reservoirs combine by weighted
 // subsampling using their item counts.
 #pragma once
 
@@ -32,9 +33,7 @@ class ReservoirKernel final : public ItemwiseKernel {
   std::string name() const override { return "reservoir"; }
   std::vector<std::uint8_t> finalize() const override;
   Bytes result_size(Bytes input) const override;
-  Checkpoint checkpoint() const override;
-  Status restore(const Checkpoint& ck) override;
-  std::unique_ptr<Kernel> clone() const override;
+  void fields(Fields& f) override;
   bool mergeable() const override { return true; }
   Status merge(std::span<const std::uint8_t> other_result) override;
 

@@ -3,17 +3,17 @@
 // gaussian2d and sobel2d read rows of `width` doubles and evaluate each row
 // that has both neighbours from (above, center, below). RowWindow holds all
 // but the arithmetic: the consumed count, a partial row's bytes, the two
-// previous rows, the row loop and the stream half of checkpoint/restore.
+// previous rows, the row loop and the stream half of the declared state.
 //
 //   * A row whose start is 8-byte aligned is read in place from the chunk,
 //     as every item-aligned chunk of a version slab is. Only a row that
 //     straddles chunks, or a misaligned one, is staged into a row slot.
 //   * No pointer into a chunk outlives consume(): before it returns, the
 //     last two rows are copied into slots, as the chunk may be released.
-//   * load() refuses (kInvalidArgument) another kernel's or width's state
-//     and row state that does not fit the width: a `pending` blob of a
-//     whole row or more, a `prev1`/`prev2` blob neither empty nor one row,
-//     or a `rows_seen` that claims rows whose blobs are empty.
+//   * A restore refuses (kInvalidArgument) another width's state and row
+//     state that does not fit the width: a `pending` blob of a whole row
+//     or more, a `prev1`/`prev2` blob neither empty nor one row, or a
+//     `rows_seen` that claims rows whose blobs are empty.
 #pragma once
 
 #include <algorithm>
@@ -21,12 +21,9 @@
 #include <cstring>
 #include <memory>
 #include <span>
-#include <string>
-#include <vector>
 
-#include "common/serialize.hpp"
-#include "common/status.hpp"
 #include "common/units.hpp"
+#include "kernels/fields.hpp"
 
 namespace dosas::kernels {
 
@@ -67,46 +64,30 @@ class RowWindow {
     hold(chunk.subspan(pos));
   }
 
-  /// The stream half of a checkpoint: the keys `kernel`, `width`,
-  /// `consumed`, `rows_seen`, `pending`, `prev1` and `prev2`.
-  void save(Checkpoint& ck, const std::string& kernel) const {
-    const auto blob = [](const void* p, std::size_t n) {
-      const auto* b = static_cast<const std::uint8_t*>(p);
-      return p == nullptr ? std::vector<std::uint8_t>() : std::vector<std::uint8_t>(b, b + n);
-    };
-    ck.set_string("kernel", kernel);
-    ck.set_i64("width", static_cast<std::int64_t>(width_));
-    ck.set_i64("consumed", static_cast<std::int64_t>(consumed_));
-    ck.set_i64("rows_seen", static_cast<std::int64_t>(rows_seen_));
-    ck.set_blob("pending", blob(pending_ > 0 ? spare() : nullptr, pending_));
-    ck.set_blob("prev1", blob(prev1_, row_bytes_));
-    ck.set_blob("prev2", blob(prev2_, row_bytes_));
-  }
-
-  Status load(const Checkpoint& ck, const std::string& kernel) {
-    if (ck.get_string("kernel") != kernel || ck.get_i64("width", -1) != std::int64_t(width_)) {
-      return error(ErrorCode::kInvalidArgument, kernel + ": checkpoint of another kernel/width");
-    }
-    const auto* pending = ck.get_blob("pending");
-    const auto* prev1 = ck.get_blob("prev1");
-    const auto* prev2 = ck.get_blob("prev2");
-    const std::int64_t rows = ck.get_i64("rows_seen");
-    // A previous row is one whole row, or empty while fewer than `from` rows were seen.
-    const auto fits = [&](const std::vector<std::uint8_t>* row, std::int64_t from) {
-      return row != nullptr && (row->size() == row_bytes_ || (row->empty() && rows < from));
-    };
-    if (pending == nullptr || pending->size() >= row_bytes_ || rows < 0 || !fits(prev1, 1) ||
-        !fits(prev2, 2)) {
-      return error(ErrorCode::kInvalidArgument, kernel + ": checkpoint row state does not fit");
-    }
-    if (!store_) store_ = std::make_unique<double[]>(3 * width_);
-    prev1_ = prev2_ = nullptr;
-    prev2_ = prev2->empty() ? nullptr : stage(prev2->data());
-    prev1_ = prev1->empty() ? nullptr : stage(prev1->data());
-    hold(*pending);
-    consumed_ = static_cast<Bytes>(ck.get_i64("consumed"));
-    rows_seen_ = static_cast<std::size_t>(rows);
-    return Status::ok();
+  /// The stream half of a stencil kernel's declared state: config `width`,
+  /// counters `consumed` and `rows_seen`, and the byte fields `pending`
+  /// (shorter than one row) and `prev1`/`prev2` (one row, or empty).
+  void fields(Fields& f) {
+    f.config("width", width_);
+    f.counter("consumed", consumed_);
+    const std::size_t rows = f.counter("rows_seen", rows_seen_);
+    const Bound row{.max = row_bytes_, .step = row_bytes_};
+    const auto pending =
+        f.bytes("pending", bytes_of(pending_ > 0 ? spare() : nullptr, pending_),
+                {.max = row_bytes_ - 1});
+    const auto prev1 = f.bytes("prev1", bytes_of(prev1_, row_bytes_), row);
+    const auto prev2 = f.bytes("prev2", bytes_of(prev2_, row_bytes_), row);
+    // The one cross-field rule: a previous row may be empty only while
+    // fewer rows have been seen.
+    f.require((!prev1.empty() || rows < 1) && (!prev2.empty() || rows < 2),
+              "row state does not fit the rows seen");
+    f.commit([this, pending, prev1, prev2] {
+      if (!store_) store_ = std::make_unique<double[]>(3 * width_);
+      prev1_ = prev2_ = nullptr;
+      prev2_ = prev2.empty() ? nullptr : stage(prev2.data());
+      prev1_ = prev1.empty() ? nullptr : stage(prev1.data());
+      hold(pending);
+    });
   }
 
  private:
@@ -127,6 +108,10 @@ class RowWindow {
     double* slot = spare();
     std::memcpy(slot, row, row_bytes_);
     return slot;
+  }
+  static std::span<const std::uint8_t> bytes_of(const void* p, std::size_t n) {
+    if (p == nullptr) return {};
+    return {static_cast<const std::uint8_t*>(p), n};
   }
   bool in_chunk(const double* row) const {
     const double* s = store_.get();

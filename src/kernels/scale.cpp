@@ -21,31 +21,4 @@ std::vector<std::uint8_t> ScaleKernel::drain_stream() {
   return bytes;
 }
 
-Checkpoint ScaleKernel::checkpoint() const {
-  Checkpoint ck;
-  ck.set_string("kernel", name());
-  ck.set_f64("a", a_);
-  ck.set_f64("b", b_);
-  ck.set_blob("out", finalize());
-  save_carry(ck);
-  return ck;
-}
-
-Status ScaleKernel::restore(const Checkpoint& ck) {
-  if (ck.get_string("kernel") != name()) {
-    return error(ErrorCode::kInvalidArgument, "checkpoint is not a scale checkpoint");
-  }
-  a_ = ck.get_f64("a");
-  b_ = ck.get_f64("b");
-  const auto* out = ck.get_blob("out");
-  if (out == nullptr) return error(ErrorCode::kInvalidArgument, "scale: missing output");
-  out_.resize(out->size() / sizeof(double));
-  if (!out_.empty()) std::memcpy(out_.data(), out->data(), out_.size() * sizeof(double));
-  return load_carry(ck);
-}
-
-std::unique_ptr<Kernel> ScaleKernel::clone() const {
-  return std::make_unique<ScaleKernel>(a_, b_);
-}
-
 }  // namespace dosas::kernels

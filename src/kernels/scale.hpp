@@ -24,9 +24,12 @@ class ScaleKernel final : public ItemwiseKernel {
   /// its output stream).
   std::vector<std::uint8_t> finalize() const override;
   Bytes result_size(Bytes input) const override { return input; }
-  Checkpoint checkpoint() const override;
-  Status restore(const Checkpoint& ck) override;
-  std::unique_ptr<Kernel> clone() const override;
+  void fields(Fields& f) override {
+    ItemwiseKernel::fields(f);
+    f.config("a", a_);
+    f.config("b", b_);
+    f.array("out", out_, {});
+  }
 
   bool streams_output() const override { return true; }
   std::vector<std::uint8_t> drain_stream() override;

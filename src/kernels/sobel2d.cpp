@@ -70,36 +70,6 @@ Bytes Sobel2dKernel::result_size(Bytes input) const {
   return 3 * sizeof(std::uint64_t) + 2 * sizeof(double);
 }
 
-Checkpoint Sobel2dKernel::checkpoint() const {
-  Checkpoint ck;
-  window_.save(ck, name());
-  ck.set_f64("threshold", threshold_);
-  ck.set_i64("out_rows", static_cast<std::int64_t>(out_rows_));
-  ck.set_i64("out_count", static_cast<std::int64_t>(out_count_));
-  ck.set_i64("edges", static_cast<std::int64_t>(edges_));
-  ck.set_f64("max_mag", max_mag_);
-  ck.set_f64("sum_mag", sum_mag_);
-  return ck;
-}
-
-Status Sobel2dKernel::restore(const Checkpoint& ck) {
-  if (std::bit_cast<std::uint64_t>(ck.get_f64("threshold")) !=
-      std::bit_cast<std::uint64_t>(threshold_)) {
-    return error(ErrorCode::kInvalidArgument, "sobel2d: checkpoint threshold mismatch");
-  }
-  if (Status s = window_.load(ck, name()); !s.is_ok()) return s;
-  out_rows_ = static_cast<std::uint64_t>(ck.get_i64("out_rows"));
-  out_count_ = static_cast<std::uint64_t>(ck.get_i64("out_count"));
-  edges_ = static_cast<std::uint64_t>(ck.get_i64("edges"));
-  max_mag_ = ck.get_f64("max_mag");
-  sum_mag_ = ck.get_f64("sum_mag");
-  return Status::ok();
-}
-
-std::unique_ptr<Kernel> Sobel2dKernel::clone() const {
-  return std::make_unique<Sobel2dKernel>(width(), threshold_);
-}
-
 Result<SobelDigest> SobelDigest::decode(std::span<const std::uint8_t> bytes) {
   std::vector<std::uint8_t> buf(bytes.begin(), bytes.end());
   ByteReader r(buf);

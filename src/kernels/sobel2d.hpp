@@ -11,7 +11,7 @@
 //
 // Rows come from a RowWindow (row_window.hpp), read in place; no pointer
 // into a chunk is kept past consume(). Gradients are computed one pixel at
-// a time in column order. restore() also refuses another threshold.
+// a time in column order. A restore also refuses another threshold.
 #pragma once
 
 #include "kernels/kernel.hpp"
@@ -43,9 +43,15 @@ class Sobel2dKernel final : public Kernel {
   Bytes consumed() const override { return window_.consumed(); }
   std::vector<std::uint8_t> finalize() const override;
   Bytes result_size(Bytes input) const override;
-  Checkpoint checkpoint() const override;
-  Status restore(const Checkpoint& ck) override;
-  std::unique_ptr<Kernel> clone() const override;
+  void fields(Fields& f) override {
+    window_.fields(f);
+    f.config("threshold", threshold_);
+    f.counter("out_rows", out_rows_);
+    f.counter("out_count", out_count_);
+    f.counter("edges", edges_);
+    f.counter("max_mag", max_mag_);
+    f.counter("sum_mag", sum_mag_);
+  }
 
   std::size_t width() const { return window_.width(); }
   double threshold() const { return threshold_; }

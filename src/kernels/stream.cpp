@@ -35,4 +35,17 @@ Result<StreamResult> stream_extent(Kernel& kernel, Bytes from, Bytes end, Bytes 
   return r;
 }
 
+Status resume(Kernel& kernel, std::span<const std::uint8_t> checkpoint, Bytes start, Bytes end,
+              Bytes resume_from) {
+  auto decoded = Checkpoint::decode(checkpoint);
+  Status st = decoded.is_ok() ? kernel.restore(decoded.value()) : decoded.status();
+  if (st.is_ok() &&
+      (resume_from < start || resume_from > end || resume_from - start != kernel.consumed())) {
+    st = error(ErrorCode::kInvalidArgument,
+               kernel.name() + ": resume offset does not match the checkpoint's progress");
+  }
+  if (!st.is_ok()) kernel.reset();
+  return st;
+}
+
 }  // namespace dosas::kernels

@@ -52,4 +52,13 @@ Result<StreamResult> stream_extent(Kernel& kernel, Bytes from, Bytes end, Bytes 
                                    const ChunkReader& read, const StopCheck& stop = nullptr,
                                    const ProgressFn& progress = nullptr);
 
+/// Restore `kernel` from the encoded `checkpoint` of a run over the extent
+/// [start, end) that stopped at `resume_from`, the offset the stream then
+/// continues from. Checked in order: the checksum (kCorrupted), the
+/// kernel's declared fields, and the offset — kInvalidArgument unless
+/// `resume_from` lies in [start, end] and `resume_from - start` equals the
+/// bytes the restored kernel has consumed. On a refusal the kernel is reset.
+Status resume(Kernel& kernel, std::span<const std::uint8_t> checkpoint, Bytes start, Bytes end,
+              Bytes resume_from);
+
 }  // namespace dosas::kernels

@@ -24,26 +24,6 @@ Bytes SumKernel::result_size(Bytes input) const {
   return sizeof(std::uint64_t) + sizeof(double);
 }
 
-Checkpoint SumKernel::checkpoint() const {
-  Checkpoint ck;
-  ck.set_string("kernel", name());
-  ck.set_f64("sum", sum_);
-  ck.set_i64("count", static_cast<std::int64_t>(count_));
-  save_carry(ck);
-  return ck;
-}
-
-Status SumKernel::restore(const Checkpoint& ck) {
-  if (ck.get_string("kernel") != name()) {
-    return error(ErrorCode::kInvalidArgument, "checkpoint is not a sum checkpoint");
-  }
-  sum_ = ck.get_f64("sum");
-  count_ = static_cast<std::uint64_t>(ck.get_i64("count"));
-  return load_carry(ck);
-}
-
-std::unique_ptr<Kernel> SumKernel::clone() const { return std::make_unique<SumKernel>(); }
-
 Status SumKernel::merge(std::span<const std::uint8_t> other_result) {
   auto other = SumResult::decode(other_result);
   if (!other.is_ok()) return other.status();

@@ -31,30 +31,6 @@ Bytes ThresholdCountKernel::result_size(Bytes input) const {
   return 2 * sizeof(std::uint64_t) + sizeof(double);
 }
 
-Checkpoint ThresholdCountKernel::checkpoint() const {
-  Checkpoint ck;
-  ck.set_string("kernel", name());
-  ck.set_f64("threshold", threshold_);
-  ck.set_i64("count", static_cast<std::int64_t>(count_));
-  ck.set_i64("matches", static_cast<std::int64_t>(matches_));
-  save_carry(ck);
-  return ck;
-}
-
-Status ThresholdCountKernel::restore(const Checkpoint& ck) {
-  if (ck.get_string("kernel") != name()) {
-    return error(ErrorCode::kInvalidArgument, "checkpoint is not a thresholdcount checkpoint");
-  }
-  threshold_ = ck.get_f64("threshold");
-  count_ = static_cast<std::uint64_t>(ck.get_i64("count"));
-  matches_ = static_cast<std::uint64_t>(ck.get_i64("matches"));
-  return load_carry(ck);
-}
-
-std::unique_ptr<Kernel> ThresholdCountKernel::clone() const {
-  return std::make_unique<ThresholdCountKernel>(threshold_);
-}
-
 Status ThresholdCountKernel::merge(std::span<const std::uint8_t> other_result) {
   auto other = ThresholdCountResult::decode(other_result);
   if (!other.is_ok()) return other.status();

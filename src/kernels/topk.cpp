@@ -1,9 +1,6 @@
 #include "kernels/topk.hpp"
 
-#include <algorithm>
 #include <cassert>
-#include <cstring>
-#include <functional>
 
 namespace dosas::kernels {
 
@@ -47,42 +44,6 @@ Bytes TopKKernel::result_size(Bytes input) const {
   (void)input;
   return sizeof(std::uint64_t) + sizeof(std::uint32_t) + k_ * sizeof(double);
 }
-
-Checkpoint TopKKernel::checkpoint() const {
-  Checkpoint ck;
-  ck.set_string("kernel", name());
-  ck.set_i64("k", static_cast<std::int64_t>(k_));
-  ck.set_i64("count", static_cast<std::int64_t>(count_));
-  std::vector<std::uint8_t> heap_bytes(heap_.size() * sizeof(double));
-  if (!heap_.empty()) {
-    std::memcpy(heap_bytes.data(), heap_.data(), heap_bytes.size());
-  }
-  ck.set_blob("heap", std::move(heap_bytes));
-  save_carry(ck);
-  return ck;
-}
-
-Status TopKKernel::restore(const Checkpoint& ck) {
-  if (ck.get_string("kernel") != name()) {
-    return error(ErrorCode::kInvalidArgument, "checkpoint is not a topk checkpoint");
-  }
-  if (ck.get_i64("k", -1) != static_cast<std::int64_t>(k_)) {
-    return error(ErrorCode::kInvalidArgument, "topk: checkpoint k mismatch");
-  }
-  count_ = static_cast<std::uint64_t>(ck.get_i64("count"));
-  const auto* heap = ck.get_blob("heap");
-  if (heap == nullptr) return error(ErrorCode::kInvalidArgument, "topk: missing heap");
-  heap_.resize(heap->size() / sizeof(double));
-  if (!heap_.empty()) {
-    std::memcpy(heap_.data(), heap->data(), heap_.size() * sizeof(double));
-  }
-  // The blob preserves heap order, but re-establish the invariant anyway
-  // (cheap, and robust to hand-built checkpoints).
-  std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  return load_carry(ck);
-}
-
-std::unique_ptr<Kernel> TopKKernel::clone() const { return std::make_unique<TopKKernel>(k_); }
 
 Status TopKKernel::merge(std::span<const std::uint8_t> other_result) {
   auto other = TopKResult::decode(other_result);

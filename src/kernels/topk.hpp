@@ -8,6 +8,9 @@
 // fan-out path.
 #pragma once
 
+#include <algorithm>
+#include <functional>
+
 #include "kernels/kernel.hpp"
 #include "kernels/operation.hpp"
 
@@ -30,9 +33,14 @@ class TopKKernel final : public ItemwiseKernel {
   std::string name() const override { return "topk"; }
   std::vector<std::uint8_t> finalize() const override;
   Bytes result_size(Bytes input) const override;
-  Checkpoint checkpoint() const override;
-  Status restore(const Checkpoint& ck) override;
-  std::unique_ptr<Kernel> clone() const override;
+  void fields(Fields& f) override {
+    ItemwiseKernel::fields(f);
+    f.config("k", k_);
+    f.counter("count", count_);
+    f.array("heap", heap_, {.max = k_});
+    // Re-establish heap order: a checkpoint's heap need not be in it.
+    f.commit([this] { std::make_heap(heap_.begin(), heap_.end(), std::greater<>{}); });
+  }
   bool mergeable() const override { return true; }
   Status merge(std::span<const std::uint8_t> other_result) override;
 

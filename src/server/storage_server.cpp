@@ -669,16 +669,17 @@ void StorageServer::run_kernel(sched::RequestId id) {
         kernel->reset();
 
         Bytes from = request.object_offset;
+        const Bytes end = request.object_offset + request.length;
         if (request.is_resumption()) {
           // Cooperative resumption: adopt the shipped state and continue. A
-          // corrupted checkpoint fails the decode's checksum (kCorrupted) and
-          // the request fails typed — never a silent restart from zero state.
-          auto decoded = Checkpoint::decode(request.resume_checkpoint);
-          Status restored =
-              decoded.is_ok() ? kernel->restore(decoded.value()) : decoded.status();
-          if (!restored.is_ok()) {
+          // corrupted checkpoint (kCorrupted) or one that does not fit the
+          // kernel or the extent (kInvalidArgument) fails the request typed —
+          // never a silent restart from zero state.
+          if (Status st = kernels::resume(*kernel, request.resume_checkpoint,
+                                          request.object_offset, end, request.resume_from);
+              !st.is_ok()) {
             resp.outcome = ActiveOutcome::kFailed;
-            resp.status = restored;
+            resp.status = st;
             return;
           }
           from = request.resume_from;
@@ -688,7 +689,6 @@ void StorageServer::run_kernel(sched::RequestId id) {
         // Version observed before the scan: the result is cacheable only if
         // the object is unchanged when the kernel finishes.
         const std::uint64_t version_at_start = ds.object_version(request.handle);
-        const Bytes end = request.object_offset + request.length;
 
         // Why the kernel stopped, when it did: the stop check below folds the
         // scheduler's interrupt flag and the injected node crash into one

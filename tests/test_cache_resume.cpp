@@ -3,12 +3,17 @@
 // resubmitted with their checkpoints).
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <ostream>
 #include <thread>
 
 #include "common/clock.hpp"
 #include "core/cluster.hpp"
+#include "fault/fault.hpp"
 #include "kernels/gaussian2d.hpp"
+#include "kernels/histogram.hpp"
 #include "kernels/sum.hpp"
+#include "obs/metrics.hpp"
 #include "rpc/inprocess.hpp"
 #include "server/storage_server.hpp"
 
@@ -286,15 +291,30 @@ TEST(Resumption, BadCheckpointFailsCleanly) {
   EXPECT_EQ(resp.outcome, server::ActiveOutcome::kFailed);
 }
 
-TEST(Resumption, RowStateThatDoesNotFitWidthFailsCleanly) {
-  // A checksum-valid gaussian2d checkpoint whose previous rows are one item
-  // long instead of one 128-wide row: the request must fail typed instead
-  // of letting the kernel read past the short rows.
+/// A well-formed, checksum-valid checkpoint that does not fit the request
+/// resuming from it: `from_op`'s kernel consumes a five-row prefix, its
+/// checkpoint is edited, and `op` resumes from it `skew` bytes past the
+/// prefix.
+struct BadCheckpoint {
+  const char* name;
+  const char* op;
+  const char* from_op;
+  std::function<void(Checkpoint&)> edit = nullptr;
+  Bytes skew = 0;
+};
+
+void PrintTo(const BadCheckpoint& bad, std::ostream* os) { *os << bad.name; }
+
+class ResumptionRefused : public ::testing::TestWithParam<BadCheckpoint> {};
+
+TEST_P(ResumptionRefused, CompletesFailedInvalidArgument) {
+  const BadCheckpoint& bad = GetParam();
   pfs::FileSystem fs(1, 64_KiB);
   pfs::Client client(fs);
   constexpr std::size_t kWidth = 128;
-  auto meta = pfs::write_doubles(client, "/g", kWidth * 64,
-                                 [](std::size_t i) { return static_cast<double>(i % 17); });
+  auto meta = pfs::write_doubles(client, "/g", kWidth * 64, [](std::size_t i) {
+    return static_cast<double>(i % 17) / 17.0;
+  });
   ASSERT_TRUE(meta.is_ok());
   server::ContentionEstimator::Config ce;
   ce.optimizer = "all-active";
@@ -304,21 +324,106 @@ TEST(Resumption, RowStateThatDoesNotFitWidthFailsCleanly) {
   const Bytes cut = 5 * kWidth * sizeof(double);
   auto prefix = fs.data_server(0).read_object(meta.value().handle, 0, cut);
   ASSERT_TRUE(prefix.is_ok());
-  kernels::Gaussian2dKernel partial(kWidth);
-  partial.consume(prefix.value());
-  Checkpoint ck = partial.checkpoint();
-  ck.set_blob("prev1", std::vector<std::uint8_t>(sizeof(double), 0));
-  ck.set_blob("prev2", std::vector<std::uint8_t>(sizeof(double), 0));
+  auto partial = kernels::Registry::with_builtins().create(bad.from_op);
+  ASSERT_TRUE(partial.is_ok());
+  partial.value()->reset();
+  partial.value()->consume(prefix.value());
+  Checkpoint ck = partial.value()->checkpoint();
+  if (bad.edit) bad.edit(ck);
 
   server::ActiveIoRequest resume;
   resume.handle = meta.value().handle;
   resume.length = meta.value().size;
-  resume.operation = "gaussian2d:width=128";
+  resume.operation = bad.op;
   resume.resume_checkpoint = ck.encode();
-  resume.resume_from = cut;
+  resume.resume_from = cut + bad.skew;
   auto resp = serve(server, resume);
   EXPECT_EQ(resp.outcome, server::ActiveOutcome::kFailed);
-  EXPECT_EQ(resp.status.code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(resp.status.code(), ErrorCode::kInvalidArgument) << resp.status.to_string();
+}
+
+const std::vector<std::uint8_t> kOneItem(sizeof(double), 0);
+
+INSTANTIATE_TEST_SUITE_P(
+    BadCheckpoints, ResumptionRefused,
+    ::testing::Values(
+        // A counts field with no bin in it: four bytes, as a zero u32 bin
+        // count would be. An in-range item would then land in bin -1.
+        BadCheckpoint{"histogram_zero_bins", "histogram:bins=16,lo=0,hi=1",
+                      "histogram:bins=16,lo=0,hi=1",
+                      [](Checkpoint& ck) { ck.set_blob("counts", std::vector<std::uint8_t>(4)); }},
+        // Another operation's parameters are refused, never adopted.
+        BadCheckpoint{"histogram_other_config", "histogram:bins=16,lo=0,hi=1",
+                      "histogram:bins=3,lo=-100,hi=100"},
+        BadCheckpoint{"thresholdcount_other_config", "thresholdcount:t=0.5",
+                      "thresholdcount:t=0.9"},
+        BadCheckpoint{"scale_other_config", "scale:a=2,b=0.5", "scale:a=3,b=-1"},
+        BadCheckpoint{"reservoir_other_config", "reservoir:n=9,seed=3", "reservoir:n=9,seed=4"},
+        BadCheckpoint{"topk_oversize_heap", "topk:k=2", "topk:k=2",
+                      [](Checkpoint& ck) {
+                        ck.set_blob("heap", std::vector<std::uint8_t>(5 * sizeof(double)));
+                      }},
+        // All-zero xoshiro words draw 0 forever: uniform_index would spin.
+        BadCheckpoint{"reservoir_zero_state", "reservoir:n=9,seed=3", "reservoir:n=9,seed=3",
+                      [](Checkpoint& ck) { ck.set_blob("rng", std::vector<std::uint8_t>(32)); }},
+        // A sound checkpoint, but resume_from is not where it stopped.
+        BadCheckpoint{"mismatched_resume_from", "sum", "sum", nullptr, sizeof(double)},
+        // Previous rows one item long instead of one 128-wide row: the
+        // next row would read past them.
+        BadCheckpoint{"short_rows", "gaussian2d:width=128", "gaussian2d:width=128",
+                      [](Checkpoint& ck) {
+                        ck.set_blob("prev1", kOneItem);
+                        ck.set_blob("prev2", kOneItem);
+                      }}),
+    [](const ::testing::TestParamInfo<BadCheckpoint>& info) { return info.param.name; });
+
+TEST(Resumption, RefusedCheckpointRestartsTheClientCleanly) {
+  // The server's "histogram" is built with other bins and range, so the
+  // checkpoint its crashing node ships back is well-formed but does not fit
+  // the client's kernel. The client refuses it, restarts the extent
+  // locally and counts the restart; the result is the uninterrupted one.
+  pfs::FileSystem fs(1, 64_KiB);
+  pfs::Client client(fs);
+  auto meta = pfs::write_doubles(client, "/h", 20'000, [](std::size_t i) {
+    return static_cast<double>(i % 17) / 17.0;
+  });
+  ASSERT_TRUE(meta.is_ok());
+  auto server_kernels = kernels::Registry::with_builtins();
+  server_kernels.register_kernel(
+      "histogram", [](const kernels::OperationSpec&) -> Result<std::unique_ptr<kernels::Kernel>> {
+        return std::unique_ptr<kernels::Kernel>(
+            std::make_unique<kernels::HistogramKernel>(3, -100.0, 100.0));
+      });
+  server::ContentionEstimator::Config ce;
+  ce.optimizer = "all-active";
+  server::StorageServer server(fs, 0, server_kernels, ce, server::RateTable::paper_rates());
+  // The node goes down as it starts its first kernel, which comes back
+  // interrupted with its checkpoint.
+  server.set_fault_injector(
+      std::make_shared<fault::FaultInjector>(fault::FaultSpec::parse("crash=0@1").value()));
+  const auto registry = kernels::Registry::with_builtins();
+  client::ActiveClient asc(client, registry, {&server});
+
+  auto& metrics = obs::MetricsRegistry::global();
+  const bool metrics_were_on = obs::metrics_enabled();
+  metrics.set_enabled(true);
+  const auto restarts_before = metrics.counter("client.ckpt_corrupt_restarts").value();
+  const std::string op = "histogram:bins=16,lo=0,hi=1";
+  auto out = asc.read_ex(meta.value(), 0, meta.value().size, op);
+  const auto restarts = metrics.counter("client.ckpt_corrupt_restarts").value() - restarts_before;
+  metrics.set_enabled(metrics_were_on);
+
+  ASSERT_TRUE(out.is_ok()) << out.status().to_string();
+  auto all = fs.data_server(0).read_object(meta.value().handle, 0, meta.value().size);
+  ASSERT_TRUE(all.is_ok());
+  auto ref = registry.create(op);
+  ASSERT_TRUE(ref.is_ok());
+  ref.value()->reset();
+  ref.value()->consume(all.value());
+  EXPECT_EQ(out.value(), ref.value()->finalize());
+  EXPECT_EQ(asc.stats().resumed_local, 1u);
+  EXPECT_EQ(asc.stats().checkpoint_corrupt_restarts, 1u);
+  EXPECT_EQ(restarts, 1u);
 }
 
 TEST(Resumption, ClientResubmitPathProducesExactResults) {

@@ -1,7 +1,7 @@
 // Robustness fuzzing: hostile/corrupted inputs at every decode boundary
 // must fail cleanly (error Status), never crash or accept garbage:
-// checkpoint codec, kernel result decoders, kernel restore, operation
-// strings, and trace parsing.
+// checkpoint codec, kernel result decoders, operation strings, and trace
+// parsing. Kernel restore is fuzzed field by field in test_stress.cpp.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -47,24 +47,6 @@ TEST(FuzzCheckpoint, TruncationsOfValidCheckpointReject) {
     std::vector<std::uint8_t> trunc(bytes.begin(),
                                     bytes.begin() + static_cast<std::ptrdiff_t>(cut));
     EXPECT_FALSE(Checkpoint::decode(trunc).is_ok()) << "cut=" << cut;
-  }
-}
-
-TEST(FuzzCheckpoint, SingleByteMutationsNeverCrashRestore) {
-  kernels::Gaussian2dKernel k(16);
-  std::vector<double> vals(16 * 5, 2.0);
-  k.consume(std::span(reinterpret_cast<const std::uint8_t*>(vals.data()), vals.size() * 8));
-  const auto bytes = k.checkpoint().encode();
-
-  Rng rng(2);
-  for (int trial = 0; trial < 300; ++trial) {
-    auto mutated = bytes;
-    mutated[rng.uniform_index(mutated.size())] ^=
-        static_cast<std::uint8_t>(1 + rng.uniform_index(255));
-    auto decoded = Checkpoint::decode(mutated);
-    if (!decoded.is_ok()) continue;
-    kernels::Gaussian2dKernel fresh(16);
-    (void)fresh.restore(decoded.value());  // must not crash; Status either way
   }
 }
 

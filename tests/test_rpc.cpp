@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "client/active_client.hpp"
+#include "common/clock.hpp"
 #include "kernels/sum.hpp"
 #include "pfs/client.hpp"
 #include "rpc/inprocess.hpp"
@@ -211,9 +212,15 @@ TEST(Rpc, DeadlineExpiresQueuedRequest) {
 }
 
 TEST(Rpc, DeadlineInterruptsRunningKernel) {
+  // On a VirtualClock with calibrated pacing, the 16 MiB gaussian takes
+  // ~210 ms of virtual time at Table III's 80 MB/s, so the 0.1 ms deadline
+  // fires at one fixed instant, mid-kernel.
+  VirtualClock vc;
+  ScopedClockOverride override_clock(vc);
   server::StorageServer::Config sc;
   sc.cores = 1;
   sc.chunk_size = 64_KiB;  // frequent interruption checks
+  sc.pace_kernel_rates = true;
   Fixture fx(1u << 21, sc);
 
   auto doomed = fx.transport->submit(fx.active_env("gaussian2d:width=32", /*deadline=*/1e-4));
@@ -226,7 +233,7 @@ TEST(Rpc, DeadlineInterruptsRunningKernel) {
   EXPECT_EQ(stats.active_completed, 0u);
   // The abandoned kernel must actually stop: once the server drains, no
   // new completion may appear.
-  while (fx.server->inflight() != 0) std::this_thread::yield();
+  while (fx.server->inflight() != 0) clock().sleep(0.001);
   EXPECT_EQ(fx.server->stats().active_completed, 0u);
 }
 

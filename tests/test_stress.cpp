@@ -4,13 +4,21 @@
 //   * a mixed-operation thread storm against one DOSAS cluster must return
 //     reference-exact results for every request;
 //   * repeated interrupt/restore cycles (checkpoint ping-pong) preserve
-//     kernel state across arbitrarily many migrations.
+//     kernel state across arbitrarily many migrations;
+//   * a field-level fuzzer: every well-formed checkpoint with one field
+//     mutated is either refused cleanly or resumes without fault.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
+#include <limits>
+#include <set>
+#include <sstream>
 #include <thread>
 
 #include "common/rng.hpp"
+#include "common/serialize.hpp"
 #include "core/cluster.hpp"
 #include "kernels/registry.hpp"
 
@@ -114,6 +122,188 @@ TEST_P(EveryKernel, CheckpointPingPongPreservesState) {
   }
   EXPECT_EQ(current.value()->finalize(), ref.value()->finalize());
   EXPECT_EQ(current.value()->consumed(), bytes.size());
+}
+
+/// One <name, type, value> record of a checkpoint.
+struct Record {
+  std::string name;
+  FieldType type = FieldType::kI64;
+  std::int64_t i64 = 0;
+  double f64 = 0.0;
+  std::string str;
+  std::vector<std::uint8_t> blob;
+};
+
+/// The records of `ck`, read back from its encoding: magic, record count,
+/// then name, type tag and value per record, then the checksum.
+std::vector<Record> records_of(const Checkpoint& ck) {
+  const auto bytes = ck.encode();
+  ByteReader r(bytes);
+  std::uint32_t magic = 0, count = 0;
+  EXPECT_TRUE(r.get_u32(magic) && r.get_u32(count));
+  std::vector<Record> out(count);
+  for (auto& rec : out) {
+    std::uint8_t tag = 0;
+    EXPECT_TRUE(r.get_string(rec.name) && r.get_u8(tag));
+    rec.type = static_cast<FieldType>(tag);
+    const bool ok = rec.type == FieldType::kI64      ? r.get_i64(rec.i64)
+                    : rec.type == FieldType::kF64    ? r.get_f64(rec.f64)
+                    : rec.type == FieldType::kString ? r.get_string(rec.str)
+                                                     : r.get_blob(rec.blob);
+    EXPECT_TRUE(ok) << rec.name;
+  }
+  return out;
+}
+
+Checkpoint checkpoint_of(const std::vector<Record>& records) {
+  Checkpoint ck;
+  for (const auto& rec : records) {
+    switch (rec.type) {
+      case FieldType::kI64: ck.set_i64(rec.name, rec.i64); break;
+      case FieldType::kF64: ck.set_f64(rec.name, rec.f64); break;
+      case FieldType::kString: ck.set_string(rec.name, rec.str); break;
+      case FieldType::kBlob: ck.set_blob(rec.name, rec.blob); break;
+    }
+  }
+  return ck;
+}
+
+struct Mutant {
+  std::string what;
+  std::vector<Record> records;
+};
+
+/// Every checkpoint that differs from `records` in one field: dropped,
+/// ±1 (element or byte), 0, −1, INT64_MAX or NaN. A pipeline's stage
+/// checkpoints are mutated field by field too.
+std::vector<Mutant> mutants_of(const std::vector<Record>& records) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Mutant> out;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const Record& rec = records[i];
+    auto add = [&](const std::string& what, auto&& edit) {
+      Mutant m{rec.name + ": " + what, records};
+      edit(m.records[i]);
+      out.push_back(std::move(m));
+    };
+    Mutant dropped{rec.name + ": dropped", records};
+    dropped.records.erase(dropped.records.begin() + static_cast<std::ptrdiff_t>(i));
+    out.push_back(std::move(dropped));
+    switch (rec.type) {
+      case FieldType::kI64:
+        for (std::int64_t v : {rec.i64 + 1, rec.i64 - 1, std::int64_t{0}, std::int64_t{-1}, kMax}) {
+          add("i64 " + std::to_string(v), [v](Record& r) { r.i64 = v; });
+        }
+        break;
+      case FieldType::kF64:
+        for (double v : {rec.f64 + 1, rec.f64 - 1, 0.0, -1.0, static_cast<double>(kMax), nan}) {
+          add("f64 " + std::to_string(v), [v](Record& r) { r.f64 = v; });
+        }
+        break;
+      case FieldType::kString:
+        add("+1 byte", [](Record& r) { r.str += 'x'; });
+        add("empty", [](Record& r) { r.str.clear(); });
+        if (!rec.str.empty()) add("-1 byte", [](Record& r) { r.str.pop_back(); });
+        break;
+      case FieldType::kBlob: {
+        auto word = [](std::vector<std::uint8_t>& b, auto v) { std::memcpy(b.data(), &v, 8); };
+        add("+1 byte", [](Record& r) { r.blob.push_back(7); });
+        add("+1 element", [](Record& r) {
+          const double v = 0.5;
+          const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
+          r.blob.insert(r.blob.end(), p, p + sizeof v);
+        });
+        add("empty", [](Record& r) { r.blob.clear(); });
+        add("all zero", [](Record& r) { std::fill(r.blob.begin(), r.blob.end(), 0); });
+        if (!rec.blob.empty()) add("-1 byte", [](Record& r) { r.blob.pop_back(); });
+        if (rec.blob.size() >= 8) {
+          add("-1 element", [](Record& r) { r.blob.resize(r.blob.size() - 8); });
+          add("word NaN", [&](Record& r) { word(r.blob, nan); });
+          add("word INT64_MAX", [&](Record& r) { word(r.blob, kMax); });
+          add("word -1", [&](Record& r) { word(r.blob, std::int64_t{-1}); });
+        }
+        if (auto stage = Checkpoint::decode(rec.blob); stage.is_ok()) {
+          for (auto& m : mutants_of(records_of(stage.value()))) {
+            add(m.what, [&](Record& r) { r.blob = checkpoint_of(m.records).encode(); });
+          }
+        }
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+/// The records naming the operation — every kernel's config field, in
+/// stage checkpoints too — as one string.
+std::string config_of(const Checkpoint& ck) {
+  static const std::set<std::string> kConfig = {
+      "kernel", "k", "n", "seed", "bins", "lo", "hi", "threshold",
+      "a", "b", "width", "mode", "pattern", "stages"};
+  std::ostringstream out;
+  for (const auto& rec : records_of(ck)) {
+    if (rec.type == FieldType::kBlob && rec.name.rfind("stage", 0) == 0) {
+      if (auto stage = Checkpoint::decode(rec.blob); stage.is_ok()) {
+        out << rec.name << "{" << config_of(stage.value()) << "}";
+      }
+    } else if (kConfig.count(rec.name) != 0) {
+      out << rec.name << "=" << rec.i64 << "/" << std::bit_cast<std::uint64_t>(rec.f64) << "/"
+          << rec.str << ";";
+    }
+  }
+  return out.str();
+}
+
+TEST_P(EveryKernel, MutatedFieldIsRefusedCleanlyOrResumes) {
+  // A checksum-valid checkpoint of a random cut of random input, with one
+  // decoded field mutated, is either refused — kInvalidArgument, the kernel
+  // untouched — or restored with its configuration kept, and then consumes
+  // the rest and finalizes (under the sanitizer tiers: with no report).
+  // The unmutated checkpoint resumes to the uninterrupted result bit for bit.
+  const auto reg = kernels::Registry::with_builtins();
+  Rng rng(0xF1E1D);
+  for (int round = 0; round < 3; ++round) {
+    const auto bytes = test_payload(32 * (3 + rng.uniform_index(10)), rng());
+    const std::size_t cut = rng.uniform_index(bytes.size() + 1);
+    const std::span<const std::uint8_t> head(bytes.data(), cut), rest(bytes.data() + cut,
+                                                                       bytes.size() - cut);
+    auto ref = reg.create(GetParam()).value();
+    ref->reset();
+    ref->consume(bytes);
+    auto first = reg.create(GetParam()).value();
+    first->reset();
+    first->consume(head.first(cut / 2));
+    first->consume(head.subspan(cut / 2));
+    const Checkpoint ck = first->checkpoint();
+    const auto fresh = reg.create(GetParam()).value();
+    const std::string config = config_of(fresh->checkpoint());
+
+    auto resumed = reg.create(GetParam()).value();
+    ASSERT_TRUE(resumed->restore(checkpoint_of(records_of(ck))).is_ok()) << "cut " << cut;
+    resumed->consume(rest);
+    EXPECT_EQ(resumed->finalize(), ref->finalize()) << "cut " << cut;
+
+    for (const auto& m : mutants_of(records_of(ck))) {
+      SCOPED_TRACE("cut " + std::to_string(cut) + ", " + m.what);
+      auto decoded = Checkpoint::decode(checkpoint_of(m.records).encode());
+      ASSERT_TRUE(decoded.is_ok());
+      auto k = reg.create(GetParam()).value();
+      k->reset();
+      const Bytes consumed = k->consumed();
+      const auto result = k->finalize();
+      const Status st = k->restore(decoded.value());
+      if (!st.is_ok()) {
+        EXPECT_EQ(st.code(), ErrorCode::kInvalidArgument) << st.to_string();
+        EXPECT_EQ(k->consumed(), consumed);
+        EXPECT_EQ(k->finalize(), result);
+        continue;
+      }
+      EXPECT_EQ(config_of(k->checkpoint()), config);
+      k->consume(rest);
+      (void)k->finalize();
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKernels, EveryKernel, ::testing::ValuesIn(kOps),

@@ -41,7 +41,7 @@ run_one() {
     local bin
     for bin in test_server test_stress test_resilience test_fault test_dst \
                test_hedge test_straggler test_ring test_arena test_dataplane \
-               test_common test_cache_resume test_scale test_replay; do
+               test_common test_cache_resume test_scale test_replay test_rpc; do
       "$dir/tests/$bin"
     done
   else
