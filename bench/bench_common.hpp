@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/stats.hpp"
 #include "core/experiments.hpp"
 #include "core/report.hpp"
 #include "core/sim_model.hpp"
@@ -106,19 +107,6 @@ inline std::string bench_git_sha() {
 #else
   return "unknown";
 #endif
-}
-
-/// Exact percentile (nearest-rank interpolation) over raw samples; the
-/// latency quantiles in BENCH_*.json come from full sample sets, not
-/// streaming sketches. `p` in [0, 100].
-inline double percentile(std::vector<double> samples, double p) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const double rank = p / 100.0 * static_cast<double>(samples.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const auto hi = std::min(lo + 1, samples.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return samples[lo] + (samples[hi] - samples[lo]) * frac;
 }
 
 /// One bench run's telemetry record, written as BENCH_<name>.json so CI can

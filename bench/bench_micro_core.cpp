@@ -327,9 +327,9 @@ int main(int argc, char** argv) {
   }
   // Cross-benchmark quantiles of per-iteration cost: coarse, but enough for
   // the regression check to notice a substrate-wide slowdown.
-  out.latency_us(dosas::bench::percentile(all_ns, 50) / 1e3,
-                 dosas::bench::percentile(all_ns, 95) / 1e3,
-                 dosas::bench::percentile(all_ns, 99) / 1e3);
+  out.latency_us(dosas::percentile(all_ns, 50) / 1e3,
+                 dosas::percentile(all_ns, 95) / 1e3,
+                 dosas::percentile(all_ns, 99) / 1e3);
   // Data-plane telemetry (dosas-bench-v1 additions): owning copies per
   // whole-file PFS read (the striped gather is the one copy left) and CAS
   // retries per ring transfer across the uncontended + contended runs.

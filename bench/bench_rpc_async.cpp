@@ -350,8 +350,8 @@ int main() {
   const StragglerRun unhedged = run_straggler(/*hedge=*/false);
   const StragglerRun hedged = run_straggler(/*hedge=*/true);
   const bool hedge_identical = unhedged.result == hedged.result;
-  const double straggler_p99_ms = bench::percentile(unhedged.latencies_us, 99) / 1e3;
-  const double hedged_p99_ms = bench::percentile(hedged.latencies_us, 99) / 1e3;
+  const double straggler_p99_ms = percentile(unhedged.latencies_us, 99) / 1e3;
+  const double hedged_p99_ms = percentile(hedged.latencies_us, 99) / 1e3;
   const double hedge_speedup = hedged_p99_ms > 0 ? straggler_p99_ms / hedged_p99_ms : 0.0;
   const double hedge_extra_bytes =
       unhedged.transport.bytes_charged > 0
@@ -392,8 +392,8 @@ int main() {
   out.metric("write_total_s", write_s);
   out.metric("write_bytes_copied_per_req", write_bytes_copied_per_req);
   out.metric("cache_hit_bytes_copied_per_req", cache_hit_bytes_copied_per_req);
-  out.latency_us(bench::percentile(pipe_lat_us, 50), bench::percentile(pipe_lat_us, 95),
-                 bench::percentile(pipe_lat_us, 99));
+  out.latency_us(percentile(pipe_lat_us, 50), percentile(pipe_lat_us, 95),
+                 percentile(pipe_lat_us, 99));
   out.throughput(n / pipe_s);
   const auto st = asc.stats();
   out.demotion_rate(st.reads_ex > 0 ? static_cast<double>(st.demoted + st.node_down_demotes) /

@@ -20,6 +20,16 @@ namespace dosas::client {
 
 namespace {
 
+/// Hedging policy (ActiveClientConfig::hedge_reads). A warm node's leg is
+/// hedged after max(kHedgeMinDelay, kHedgeP99Multiplier × its p99): the
+/// floor keeps a node whose history is microseconds from hedging on
+/// scheduling noise. kHedgeMaxPerRead bounds the hedges one read_ex (all
+/// its fan-out legs together) may fire, and so the extra bytes a fully
+/// stalled cluster could cost.
+constexpr double kHedgeP99Multiplier = 3.0;
+constexpr Seconds kHedgeMinDelay = 0.002;
+constexpr std::size_t kHedgeMaxPerRead = 1;
+
 /// Request class for per-stage latency histograms: the operation name up
 /// to its first parameter (e.g. "grep:needle" -> "grep").
 std::string stage_class(const std::string& operation) {
@@ -310,7 +320,7 @@ ActiveClient::PendingReadEx ActiveClient::plan_read_ex(const pfs::FileMeta& meta
 
   pending.mode_ = PendingReadEx::Mode::kRemote;
   pending.fanout_ = extents.size() > 1;
-  pending.hedge_budget_ = config_.hedge_reads ? config_.hedge_max_per_read : 0;
+  pending.hedge_budget_ = config_.hedge_reads ? kHedgeMaxPerRead : 0;
   pending.legs_.reserve(extents.size());
   for (auto& ext : extents) {
     PendingReadEx::Leg leg;
@@ -329,13 +339,11 @@ ActiveClient::PendingReadEx ActiveClient::plan_read_ex(const pfs::FileMeta& meta
 void ActiveClient::attach(PendingReadEx::Leg& leg, rpc::PendingReply reply) {
   leg.reply = std::move(reply);
   if (!config_.hedge_reads || !leg.reply.valid()) return;
-  // The floor keeps a node whose history is microseconds from hedging on
-  // scheduling noise; a cold node hedges after the cold delay (0: never).
+  // A cold node hedges after the cold delay (0: never).
   const auto nl = transport_->node_latency(static_cast<std::uint32_t>(leg.ext.server));
-  const Seconds delay =
-      nl.samples < config_.hedge_min_samples
-          ? config_.hedge_cold_delay
-          : std::max(config_.hedge_min_delay, config_.hedge_p99_multiplier * nl.p99_us * 1e-6);
+  const Seconds delay = nl.samples < config_.hedge_min_samples
+                            ? config_.hedge_cold_delay
+                            : std::max(kHedgeMinDelay, kHedgeP99Multiplier * nl.p99_us * 1e-6);
   if (delay > 0) leg.hedge_at = clock().now() + delay;
 }
 

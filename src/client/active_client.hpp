@@ -76,21 +76,14 @@ struct ActiveClientConfig {
   /// PendingReply::cancel() so exactly one leg's bytes are charged. Legs
   /// are also resolved fastest-predicted-node first, so the hedge timer
   /// spends the wait budget on the straggler, not on legs that are already
-  /// done. Off by default.
+  /// done. Off by default. A warm node's leg is hedged after
+  /// max(kHedgeMinDelay, kHedgeP99Multiplier × its p99), at most
+  /// kHedgeMaxPerRead times per read_ex (constants in active_client.cpp).
   bool hedge_reads = false;
-  /// Hedge delay for a warm node = max(hedge_min_delay,
-  /// hedge_p99_multiplier × that node's p99 active-RPC latency).
-  double hedge_p99_multiplier = 3.0;
-  /// Floor under the derived delay: a node whose history is microseconds
-  /// must not hedge on scheduling noise.
-  Seconds hedge_min_delay = 0.002;
   /// Per-node samples required before the p99 is trusted; colder nodes
   /// hedge after hedge_cold_delay instead (0 = never hedge a cold node).
   std::uint64_t hedge_min_samples = 8;
   Seconds hedge_cold_delay = 0;
-  /// Hedge budget per read_ex (all fan-out legs share it): bounds the
-  /// extra bytes a fully-stalled cluster could cost.
-  std::size_t hedge_max_per_read = 1;
 };
 
 class ActiveClient {

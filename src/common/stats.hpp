@@ -1,44 +1,12 @@
-// stats.hpp — streaming statistics accumulators used by the contention
-// estimator (utilization smoothing), the metrics layer, and the benches
-// (reporting mean/stddev/percentiles of repeated runs).
+// stats.hpp — the contention estimator's utilization smoother and the one
+// exact percentile over raw samples (scale reports, bench telemetry).
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <vector>
 
 namespace dosas {
-
-/// Welford streaming mean/variance/min/max. O(1) memory.
-class RunningStats {
- public:
-  void add(double x) {
-    ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-    min_ = n_ == 1 ? x : std::min(min_, x);
-    max_ = n_ == 1 ? x : std::max(max_, x);
-  }
-
-  std::size_t count() const { return n_; }
-  double mean() const { return mean_; }
-  double variance() const { return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0; }
-  double stddev() const { return std::sqrt(variance()); }
-  double min() const { return min_; }
-  double max() const { return max_; }
-  double sum() const { return mean_ * static_cast<double>(n_); }
-
-  void reset() { *this = RunningStats{}; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Exponentially-weighted moving average, the smoother the contention
 /// estimator applies to noisy utilization probes (paper §III-D: the CE
@@ -59,7 +27,6 @@ class Ewma {
 
   bool primed() const { return primed_; }
   double value() const { return value_; }
-  void reset() { primed_ = false; value_ = 0.0; }
 
  private:
   double alpha_;
@@ -67,142 +34,15 @@ class Ewma {
   bool primed_ = false;
 };
 
-/// P² streaming quantile estimator (Jain & Chlamtac, CACM 1985): tracks a
-/// single quantile in O(1) memory with five markers, no sample storage.
-/// Used by the metrics layer for p50/p90/p99 summaries of unbounded event
-/// streams (per-kernel rates, decision latencies).
-class P2Quantile {
- public:
-  /// q in (0,1): the quantile to track (0.5 = median).
-  explicit P2Quantile(double q = 0.5) : q_(q) {}
-
-  void add(double x) {
-    ++count_;
-    if (count_ <= 5) {
-      heights_[count_ - 1] = x;
-      if (count_ == 5) {
-        std::sort(heights_, heights_ + 5);
-        for (int i = 0; i < 5; ++i) pos_[i] = i + 1;
-        desired_[0] = 1.0;
-        desired_[1] = 1.0 + 2.0 * q_;
-        desired_[2] = 1.0 + 4.0 * q_;
-        desired_[3] = 3.0 + 2.0 * q_;
-        desired_[4] = 5.0;
-      }
-      return;
-    }
-
-    // Locate the cell containing x, extending the extremes when needed.
-    int k = 0;
-    if (x < heights_[0]) {
-      heights_[0] = x;
-      k = 0;
-    } else if (x >= heights_[4]) {
-      heights_[4] = x;
-      k = 3;
-    } else {
-      while (k < 3 && x >= heights_[k + 1]) ++k;
-    }
-    for (int i = k + 1; i < 5; ++i) ++pos_[i];
-    desired_[1] += q_ / 2.0;
-    desired_[2] += q_;
-    desired_[3] += (1.0 + q_) / 2.0;
-    desired_[4] += 1.0;
-
-    // Nudge the interior markers toward their desired positions, using a
-    // piecewise-parabolic height prediction (linear fallback).
-    for (int i = 1; i <= 3; ++i) {
-      const double d = desired_[i] - static_cast<double>(pos_[i]);
-      if ((d >= 1.0 && pos_[i + 1] - pos_[i] > 1) || (d <= -1.0 && pos_[i - 1] - pos_[i] < -1)) {
-        const int s = d >= 0.0 ? 1 : -1;
-        const double h = parabolic(i, s);
-        heights_[i] = (heights_[i - 1] < h && h < heights_[i + 1]) ? h : linear(i, s);
-        pos_[i] += s;
-      }
-    }
-  }
-
-  std::size_t count() const { return count_; }
-
-  /// Current estimate; exact (nearest-rank interpolation) below 5 samples.
-  double value() const {
-    if (count_ == 0) return 0.0;
-    if (count_ < 5) {
-      double tmp[5];
-      std::copy(heights_, heights_ + count_, tmp);
-      std::sort(tmp, tmp + count_);
-      const double rank = q_ * static_cast<double>(count_ - 1);
-      const auto lo = static_cast<std::size_t>(rank);
-      const auto hi = std::min(lo + 1, count_ - 1);
-      const double frac = rank - static_cast<double>(lo);
-      return tmp[lo] * (1.0 - frac) + tmp[hi] * frac;
-    }
-    return heights_[2];
-  }
-
-  void reset() { *this = P2Quantile{q_}; }
-
- private:
-  double parabolic(int i, int s) const {
-    const double ds = static_cast<double>(s);
-    const double np = static_cast<double>(pos_[i + 1]);
-    const double n = static_cast<double>(pos_[i]);
-    const double nm = static_cast<double>(pos_[i - 1]);
-    return heights_[i] +
-           ds / (np - nm) *
-               ((n - nm + ds) * (heights_[i + 1] - heights_[i]) / (np - n) +
-                (np - n - ds) * (heights_[i] - heights_[i - 1]) / (n - nm));
-  }
-
-  double linear(int i, int s) const {
-    return heights_[i] + static_cast<double>(s) * (heights_[i + s] - heights_[i]) /
-                             static_cast<double>(pos_[i + s] - pos_[i]);
-  }
-
-  double q_;
-  std::size_t count_ = 0;
-  double heights_[5] = {};
-  long long pos_[5] = {};
-  double desired_[5] = {};
-};
-
-/// Stores samples and answers percentile queries; used by benches.
-class Samples {
- public:
-  void add(double x) {
-    data_.push_back(x);
-    sorted_ = false;
-  }
-
-  std::size_t count() const { return data_.size(); }
-
-  double mean() const {
-    if (data_.empty()) return 0.0;
-    double s = 0.0;
-    for (double x : data_) s += x;
-    return s / static_cast<double>(data_.size());
-  }
-
-  /// p in [0,100]; nearest-rank percentile.
-  double percentile(double p) {
-    if (data_.empty()) return 0.0;
-    if (!sorted_) {
-      std::sort(data_.begin(), data_.end());
-      sorted_ = true;
-    }
-    const double rank = p / 100.0 * static_cast<double>(data_.size() - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const auto hi = std::min(lo + 1, data_.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return data_[lo] * (1.0 - frac) + data_[hi] * frac;
-  }
-
-  double median() { return percentile(50.0); }
-  const std::vector<double>& raw() const { return data_; }
-
- private:
-  std::vector<double> data_;
-  bool sorted_ = false;
-};
+/// Exact percentile over raw samples, p in [0, 100]: linear interpolation
+/// between the two nearest ranks (0 for an empty sample).
+inline double percentile(std::vector<double> samples, double p) {
+  if (samples.empty()) return 0.0;
+  std::sort(samples.begin(), samples.end());
+  const double rank = p / 100.0 * static_cast<double>(samples.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const auto hi = std::min(lo + 1, samples.size() - 1);
+  return samples[lo] + (samples[hi] - samples[lo]) * (rank - static_cast<double>(lo));
+}
 
 }  // namespace dosas

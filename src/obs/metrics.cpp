@@ -1,7 +1,11 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iomanip>
 #include <sstream>
 
 #include "common/clock.hpp"
@@ -11,66 +15,100 @@ namespace dosas::obs {
 
 // ---------------------------------------------------------------- Histogram
 
-std::vector<double> Histogram::default_bounds() {
-  // Powers of 4 from 1e-3 to ~1.1e9: 21 buckets spanning sub-millisecond
-  // latencies, MiB/s rates, byte counts, and 0..1 utilizations. Summary
-  // statistics (not buckets) carry the precision; buckets give shape.
-  std::vector<double> b;
-  double v = 1e-3;
-  for (int i = 0; i < 21; ++i) {
-    b.push_back(v);
-    v *= 4.0;
-  }
-  return b;
+namespace {
+
+constexpr double kLowest = 0x1p-10;  // 2^Histogram::kMinExponent
+constexpr double kHighest = 0x1p31;  // 2^Histogram::kMaxExponent
+static_assert(kLowest == 1.0 / (1 << -Histogram::kMinExponent));
+static_assert(kHighest == static_cast<double>(std::uint64_t{1} << Histogram::kMaxExponent));
+
+// A positive double's bits, shifted right past all but the top
+// kSubBucketBits mantissa bits, are (biased exponent, sub-bucket): one
+// integer that grows with the value, one step per log-linear bucket.
+constexpr int kKeyShift = std::numeric_limits<double>::digits - 1 - Histogram::kSubBucketBits;
+constexpr std::uint64_t kLowestKey = std::bit_cast<std::uint64_t>(kLowest) >> kKeyShift;
+
+std::size_t index_of(double x) {
+  if (!(x >= kLowest)) return 0;
+  if (x >= kHighest) return Histogram::kBucketCount - 1;
+  return 1 + static_cast<std::size_t>((std::bit_cast<std::uint64_t>(x) >> kKeyShift) - kLowestKey);
 }
 
-Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(bounds.empty() ? default_bounds() : std::move(bounds)),
-      buckets_(new std::atomic<std::uint64_t>[bounds_.size() + 1]) {
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) buckets_[i].store(0);
+/// The value a sample in bucket i reads as, before clamping to [min, max].
+double representative(std::size_t i, double max) {
+  if (i == 0) return 0.0;
+  if (i == Histogram::kBucketCount - 1) return max;
+  return (Histogram::bucket_lower(i) + Histogram::bucket_upper(i)) / 2.0;
 }
 
-void Histogram::observe(double x) {
-  // Lower-bound search: first bucket whose upper bound admits x.
-  std::size_t i = 0;
-  while (i < bounds_.size() && x > bounds_[i]) ++i;
-  buckets_[i].fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard lock(mu_);
-  stats_.add(x);
-  p50_.add(x);
-  p90_.add(x);
-  p99_.add(x);
+}  // namespace
+
+double Histogram::bucket_lower(std::size_t i) {
+  if (i == 0) return -std::numeric_limits<double>::infinity();
+  const std::size_t j = i - 1;
+  const double mantissa = 1.0 + static_cast<double>(j % kSubBuckets) / kSubBuckets;
+  return std::ldexp(mantissa, kMinExponent + static_cast<int>(j / kSubBuckets));
+}
+
+double Histogram::bucket_upper(std::size_t i) {
+  return i == kBucketCount - 1 ? std::numeric_limits<double>::infinity() : bucket_lower(i + 1);
 }
 
 void Histogram::observe(double x, std::uint64_t exemplar_trace_id) {
-  std::size_t i = 0;
-  while (i < bounds_.size() && x > bounds_[i]) ++i;
-  buckets_[i].fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard lock(mu_);
-  stats_.add(x);
-  p50_.add(x);
-  p90_.add(x);
-  p99_.add(x);
-  // Keep the trace of the worst sample: that is the one a p99 investigation
-  // wants to open first.
-  if (exemplar_trace_id != 0 && (exemplar_trace_id_ == 0 || x >= exemplar_value_)) {
-    exemplar_trace_id_ = exemplar_trace_id;
-    exemplar_value_ = x;
+  double cur = min_.load(std::memory_order_relaxed);
+  while (x < cur && !min_.compare_exchange_weak(cur, x, std::memory_order_relaxed)) {
   }
+  cur = max_.load(std::memory_order_relaxed);
+  while (x > cur && !max_.compare_exchange_weak(cur, x, std::memory_order_relaxed)) {
+  }
+  buckets_[index_of(x)].fetch_add(1, std::memory_order_relaxed);
+  // The exemplar value only grows, so a smaller sample cannot win.
+  if (exemplar_trace_id == 0 || x < exemplar_value_.load(std::memory_order_relaxed)) return;
+  while (exemplar_busy_.test_and_set(std::memory_order_acquire)) {
+  }
+  const double value = exemplar_value_.load(std::memory_order_relaxed);
+  if (x > value ||
+      (x == value && exemplar_trace_id > exemplar_trace_id_.load(std::memory_order_relaxed))) {
+    exemplar_value_.store(x, std::memory_order_relaxed);
+    exemplar_trace_id_.store(exemplar_trace_id, std::memory_order_relaxed);
+  }
+  exemplar_busy_.clear(std::memory_order_release);
 }
 
 Histogram::Summary Histogram::summary() const {
-  std::lock_guard lock(mu_);
+  std::array<std::uint64_t, kBucketCount> counts;
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < kBucketCount; ++i) {
+    counts[i] = bucket(i);
+    total += counts[i];
+  }
   Summary s;
-  s.count = stats_.count();
-  if (s.count == 0) return s;
-  s.mean = stats_.mean();
-  s.min = stats_.min();
-  s.max = stats_.max();
-  s.p50 = p50_.value();
-  s.p90 = p90_.value();
-  s.p99 = p99_.value();
-  s.exemplar_trace_id = exemplar_trace_id_;
+  if (total == 0) return s;
+  s.count = total;
+  s.min = min_.load(std::memory_order_relaxed);
+  s.max = max_.load(std::memory_order_relaxed);
+  const auto clamp = [&](double v) { return std::max(s.min, std::min(v, s.max)); };
+
+  // Nearest rank: the ceil(pct% * count)-th smallest sample. When that is
+  // the largest sample (p99 of fewer than 100), the exact max is known.
+  const std::uint64_t pcts[3] = {50, 90, 99};
+  double* const outs[3] = {&s.p50, &s.p90, &s.p99};
+  std::size_t next = 0;
+  std::uint64_t seen = 0;
+  double sum = 0.0;  // accumulated in bucket order: independent of arrival order
+  for (std::size_t i = 0; i < kBucketCount; ++i) {
+    if (counts[i] == 0) continue;
+    const double v = clamp(representative(i, s.max));
+    seen += counts[i];
+    sum += static_cast<double>(counts[i]) * v;
+    for (; next < 3; ++next) {
+      const std::uint64_t rank = (pcts[next] * total + 99) / 100;
+      if (seen < rank) break;
+      *outs[next] = rank == total ? s.max : v;
+    }
+  }
+  s.mean = clamp(sum / static_cast<double>(total));
+  s.exemplar_trace_id = exemplar_trace_id_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -95,22 +133,11 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
   return *slot;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name, std::vector<double> bounds) {
+Histogram& MetricsRegistry::histogram(const std::string& name) {
   std::lock_guard lock(mu_);
   auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>(std::move(bounds));
+  if (!slot) slot = std::make_unique<Histogram>();
   return *slot;
-}
-
-bool MetricsRegistry::contains(const std::string& name) const {
-  std::lock_guard lock(mu_);
-  return counters_.count(name) != 0 || gauges_.count(name) != 0 ||
-         histograms_.count(name) != 0;
-}
-
-std::size_t MetricsRegistry::size() const {
-  std::lock_guard lock(mu_);
-  return counters_.size() + gauges_.size() + histograms_.size();
 }
 
 std::vector<std::string> MetricsRegistry::histogram_names() const {
@@ -207,18 +234,30 @@ std::string MetricsRegistry::to_json() const {
         << ",\"max\":" << s.max << ",\"p50\":" << s.p50 << ",\"p90\":" << s.p90
         << ",\"p99\":" << s.p99;
     if (s.exemplar_trace_id != 0) out << ",\"exemplar_trace_id\":" << s.exemplar_trace_id;
-    out << ",\"buckets\":[";
-    for (std::size_t i = 0; i < h->bucket_count(); ++i) {
-      if (i != 0) out << ',';
-      out << "{\"le\":";
-      if (i < h->bucket_count() - 1) {
-        out << h->bound(i);
+    // Non-empty buckets only, ascending; bounds print exactly (they are
+    // dyadic), open ends as strings.
+    out << ",\"buckets\":[" << std::setprecision(17);
+    bool first_bucket = true;
+    for (std::size_t i = 0; i < Histogram::kBucketCount; ++i) {
+      const std::uint64_t n = h->bucket(i);
+      if (n == 0) continue;
+      if (!first_bucket) out << ',';
+      first_bucket = false;
+      out << "{\"lo\":";
+      if (i == 0) {
+        out << "\"-inf\"";
       } else {
-        out << "\"+inf\"";
+        out << Histogram::bucket_lower(i);
       }
-      out << ",\"count\":" << h->bucket(i) << '}';
+      out << ",\"hi\":";
+      if (i == Histogram::kBucketCount - 1) {
+        out << "\"+inf\"";
+      } else {
+        out << Histogram::bucket_upper(i);
+      }
+      out << ",\"count\":" << n << '}';
     }
-    out << "]}";
+    out << "]}" << std::setprecision(6);
   }
   out << "}}";
   return out.str();
@@ -243,12 +282,6 @@ void gauge_set(const std::string& name, double v) {
   auto& r = MetricsRegistry::global();
   if (!r.enabled()) return;
   r.gauge(name).set(v);
-}
-
-void observe(const std::string& name, double v) {
-  auto& r = MetricsRegistry::global();
-  if (!r.enabled()) return;
-  r.histogram(name).observe(v);
 }
 
 void observe(const std::string& name, double v, std::uint64_t exemplar_trace_id) {

@@ -1,5 +1,5 @@
 // metrics.hpp — process-wide metrics registry: named counters, gauges, and
-// fixed-bucket histograms, thread-safe and near-zero-cost while disabled.
+// log-linear histograms, thread-safe and near-zero-cost while disabled.
 //
 // The paper's whole argument rests on *seeing* contention (Figs. 2/4/5: AS
 // collapses past ~4 concurrent active I/Os per node), and the Contention
@@ -13,19 +13,20 @@
 // Cost discipline: the registry is DISABLED by default. Instrumented hot
 // paths gate on `obs::metrics_enabled()` (one relaxed atomic load) before
 // building names or reading clocks, so tier-1 timings are unaffected.
-// Histograms are backed by the RunningStats / P2Quantile accumulators of
-// src/common/stats.hpp.
+// Histograms are order-independent (see Histogram), so metrics may stay on
+// in deterministic virtual-time runs.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "common/status.hpp"
 
 namespace dosas::obs {
@@ -45,59 +46,71 @@ class Counter {
 class Gauge {
  public:
   void set(double v) { v_.store(v, std::memory_order_relaxed); }
-  void add(double d) {
-    double cur = v_.load(std::memory_order_relaxed);
-    while (!v_.compare_exchange_weak(cur, cur + d, std::memory_order_relaxed)) {
-    }
-  }
   double value() const { return v_.load(std::memory_order_relaxed); }
 
  private:
   std::atomic<double> v_{0.0};
 };
 
-/// Fixed-bucket histogram with streaming summary statistics. Buckets use
-/// Prometheus-style "le" semantics: a sample x lands in the first bucket i
-/// with x <= bound(i); samples above the last bound land in the implicit
-/// overflow bucket. Bucket counts are lock-free; the mean/min/max and
-/// p50/p90/p99 accumulators take a short mutex.
+/// Log-linear bucket histogram (HdrHistogram's layout over doubles). Each
+/// octave [2^e, 2^(e+1)), kMinExponent <= e < kMaxExponent, is cut into
+/// kSubBuckets equal buckets, each at most 1/32 of its lower bound wide.
+/// Quantiles and the mean read each sample as its bucket's midpoint, which
+/// is within kRelativeError (1/64, 1.5625%) of the sample. Samples below
+/// 2^kMinExponent (~9.8e-4: 0, negatives, NaN) share one bucket that reads
+/// as 0, and samples from 2^kMaxExponent (~2.1e9) up share one that reads
+/// as the max; every read is clamped to the exact [min, max].
+///
+/// Each field only ever moves by a commutative update — a bucket count
+/// adds, min/max and the exemplar take a maximum — so a summary is a
+/// function of the multiset of samples alone: neither the order samples
+/// arrive in nor which thread observes them can change it. observe() is a
+/// few relaxed atomic operations and takes no mutex; only a sample that can
+/// become the exemplar briefly holds the exemplar flag. 1,314 buckets of
+/// 8 bytes: a histogram is ~10.3 KiB.
 class Histogram {
  public:
-  /// `bounds` must be strictly ascending upper bounds; empty selects the
-  /// registry-wide default (powers of 4 from 1e-3, wide enough for µs
-  /// latencies, MiB/s rates, and 0..1 utilizations alike).
-  explicit Histogram(std::vector<double> bounds = {});
+  static constexpr int kSubBucketBits = 5;
+  static constexpr std::size_t kSubBuckets = std::size_t{1} << kSubBucketBits;
+  static constexpr int kMinExponent = -10;
+  static constexpr int kMaxExponent = 31;
+  static constexpr double kRelativeError = 1.0 / (2.0 * kSubBuckets);
+  /// Underflow bucket, the log-linear buckets, overflow bucket.
+  static constexpr std::size_t kBucketCount =
+      static_cast<std::size_t>(kMaxExponent - kMinExponent) * kSubBuckets + 2;
 
-  void observe(double x);
-  /// Observe with an exemplar: remembers the trace id of the largest sample
-  /// seen so far, so a p99 outlier in a latency histogram is one lookup away
-  /// from its causal trace (docs/OBSERVABILITY.md "Exemplars").
-  void observe(double x, std::uint64_t exemplar_trace_id);
-
-  std::size_t bucket_count() const { return bounds_.size() + 1; }  ///< incl. overflow
-  double bound(std::size_t i) const { return bounds_[i]; }
-  std::uint64_t bucket(std::size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
+  /// `exemplar_trace_id` (0 = none) offers the sample's causal trace: the
+  /// histogram keeps the trace of its largest such sample, ties going to the
+  /// larger trace id, so a p99 outlier is one lookup away from its trace
+  /// (docs/OBSERVABILITY.md "Exemplars").
+  void observe(double x, std::uint64_t exemplar_trace_id = 0);
 
   struct Summary {
     std::size_t count = 0;
     double mean = 0.0, min = 0.0, max = 0.0;
-    double p50 = 0.0, p90 = 0.0, p99 = 0.0;
-    std::uint64_t exemplar_trace_id = 0;  ///< trace of the max sample (0 = none)
+    double p50 = 0.0, p90 = 0.0, p99 = 0.0;  ///< nearest-rank
+    std::uint64_t exemplar_trace_id = 0;  ///< trace of the largest traced sample (0 = none)
   };
   Summary summary() const;
 
-  static std::vector<double> default_bounds();
+  std::uint64_t bucket(std::size_t i) const {
+    return buckets_[i].load(std::memory_order_relaxed);
+  }
+  /// Bucket i holds samples in [bucket_lower(i), bucket_upper(i)); the
+  /// first bucket's lower bound is -inf and the last one's upper is +inf.
+  static double bucket_lower(std::size_t i);
+  static double bucket_upper(std::size_t i);
 
  private:
-  std::vector<double> bounds_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;
-  mutable std::mutex mu_;
-  RunningStats stats_;
-  P2Quantile p50_{0.5}, p90_{0.9}, p99_{0.99};
-  std::uint64_t exemplar_trace_id_ = 0;
-  double exemplar_value_ = 0.0;
+  std::array<std::atomic<std::uint64_t>, kBucketCount> buckets_{};
+  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
+  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
+  /// The exemplar pair changes as one: a sample that can displace it (at
+  /// least the current exemplar value) sets the flag, compares and writes
+  /// both fields, and clears it. Smaller samples never touch the flag.
+  std::atomic_flag exemplar_busy_;
+  std::atomic<double> exemplar_value_{-std::numeric_limits<double>::infinity()};
+  std::atomic<std::uint64_t> exemplar_trace_id_{0};
 };
 
 /// Named metric store. Handles returned by counter()/gauge()/histogram()
@@ -115,14 +128,10 @@ class MetricsRegistry {
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Find-or-create. The first histogram() call for a name fixes its
-  /// bucket bounds; later calls ignore `bounds`.
+  /// Find-or-create.
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name, std::vector<double> bounds = {});
-
-  bool contains(const std::string& name) const;
-  std::size_t size() const;
+  Histogram& histogram(const std::string& name);
 
   /// Names of every registered histogram, sorted (report generators use
   /// this to build per-stage latency tables without knowing the names).
@@ -156,9 +165,8 @@ inline bool metrics_enabled() { return MetricsRegistry::global().enabled(); }
 
 void count(const std::string& name, std::uint64_t n = 1);
 void gauge_set(const std::string& name, double v);
-void observe(const std::string& name, double v);
-/// Histogram observe carrying an exemplar trace id (0 = none).
-void observe(const std::string& name, double v, std::uint64_t exemplar_trace_id);
+/// Histogram observe, optionally carrying an exemplar trace id (0 = none).
+void observe(const std::string& name, double v, std::uint64_t exemplar_trace_id = 0);
 
 /// Wall-clock microseconds on the steady clock (for enabled-path timing).
 double now_us();

@@ -11,7 +11,7 @@
 namespace dosas::rpc {
 
 InProcessTransport::InProcessTransport(std::vector<server::StorageServer*> servers)
-    : servers_(std::move(servers)) {
+    : servers_(std::move(servers)), node_latency_(servers_.size()) {
   watchdog_ = clock().spawn([this] { watchdog_loop(); }, "rpc watchdog");
 }
 
@@ -51,30 +51,25 @@ PendingReply InProcessTransport::track(const Envelope& env) {
     const double us = (clock().now() - t0) * 1e6;
     const ErrorCode code = r.status().code();
     // A cancelled or watchdog-expired reply measures time-to-cancel, not the
-    // node's service latency; feeding it to the per-node quantiles would
+    // node's service latency; feeding it to the per-node histogram would
     // make a straggler look fast the moment hedging starts winning.
     const bool genuine = code != ErrorCode::kCancelled && code != ErrorCode::kTimedOut;
+    if (kind == OpKind::kActiveIo) {
+      active_latency_.observe(us);
+      if (genuine && target < node_latency_.size()) {
+        node_latency_[target].observe(us);
+        if (obs::metrics_enabled()) {
+          obs::observe("rpc.node_latency_us." + std::to_string(target), us, trace_id);
+        }
+      }
+    }
     bool drained;
     {
       std::lock_guard lock(mu_);
       ++completed_;
       --inflight_;
       drained = inflight_ == 0;
-      if (kind == OpKind::kActiveIo) {
-        active_p50_.add(us);
-        active_p99_.add(us);
-        if (genuine) {
-          if (target >= node_latency_.size()) node_latency_.resize(target + 1);
-          auto& nl = node_latency_[target];
-          nl.p50.add(us);
-          nl.p99.add(us);
-          ++nl.samples;
-        }
-      }
       if (code == ErrorCode::kCancelled) ++cancelled_;
-    }
-    if (kind == OpKind::kActiveIo && genuine && obs::metrics_enabled()) {
-      obs::observe("rpc.node_latency_us." + std::to_string(target), us, trace_id);
     }
     if (drained) clock().wake_all(drained_cv_);
   });
@@ -267,15 +262,15 @@ void InProcessTransport::collect_stats(TransportStats& out) const {
   out.coalesced += coalesced_;
   out.inflight += inflight_;
   out.inflight_hwm = std::max(out.inflight_hwm, inflight_hwm_);
-  out.active_latency_p50_us = active_p50_.value();
-  out.active_latency_p99_us = active_p99_.value();
+  const auto latency = active_latency_.summary();
+  out.active_latency_p50_us = latency.p50;
+  out.active_latency_p99_us = latency.p99;
 }
 
 NodeLatency InProcessTransport::node_latency(std::uint32_t target) const {
-  std::lock_guard lock(mu_);
   if (target >= node_latency_.size()) return {};
-  const auto& nl = node_latency_[target];
-  return NodeLatency{nl.p50.value(), nl.p99.value(), nl.samples};
+  const auto s = node_latency_[target].summary();
+  return NodeLatency{s.p50, s.p99, s.count};
 }
 
 }  // namespace dosas::rpc

@@ -15,7 +15,8 @@
 //     of the same admission; both share one completion-and-ticket wiring
 //     (completion_for + wire_ticket: coalesce count, canceller, deadline),
 //   * the chain's ground-truth counters: in-flight + high-water mark,
-//     per-active-RPC latency quantiles (P²), coalesced/batched counts.
+//     per-active-RPC latency histograms (obs::Histogram, overall and per
+//     target node), coalesced/batched counts.
 #pragma once
 
 #include <condition_variable>
@@ -24,7 +25,7 @@
 #include <vector>
 
 #include "common/clock.hpp"
-#include "common/stats.hpp"
+#include "obs/metrics.hpp"
 #include "rpc/transport.hpp"
 #include "server/storage_server.hpp"
 
@@ -88,18 +89,14 @@ class InProcessTransport : public Transport {
   std::uint64_t coalesced_ = 0;
   std::size_t inflight_ = 0;
   std::size_t inflight_hwm_ = 0;
-  P2Quantile active_p50_{0.5};
-  P2Quantile active_p99_{0.99};
 
-  /// Per-target-node active-RPC latency (the straggler signal). Grown on
-  /// demand under mu_; cancelled/timed-out replies are excluded — their
+  /// Active-RPC latency in µs, every completion. Histograms are atomic:
+  /// they need no mu_.
+  obs::Histogram active_latency_;
+  /// Per-target-node active-RPC latency in µs (the straggler signal),
+  /// indexed by target. Cancelled/timed-out replies are excluded — their
   /// time-to-cancel would make a straggler look fast.
-  struct NodeQuantiles {
-    P2Quantile p50{0.5};
-    P2Quantile p99{0.99};
-    std::uint64_t samples = 0;
-  };
-  std::vector<NodeQuantiles> node_latency_;  // indexed by target
+  std::vector<obs::Histogram> node_latency_;
 
   struct Expiry {
     Seconds when = 0;  ///< absolute clock time (clock().now() + deadline)

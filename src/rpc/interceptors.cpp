@@ -443,6 +443,9 @@ void NetChargeTransport::collect_stats(TransportStats& out) const {
 
 // ------------------------------------------------------------------ the chain
 
+/// Backoff jitter seed of every chain's retry layer.
+constexpr std::uint64_t kRetrySeed = 1234;
+
 Chain make_chain(std::vector<server::StorageServer*> servers, const ChainOptions& options) {
   Chain chain;
   std::shared_ptr<Transport> t = std::make_shared<InProcessTransport>(std::move(servers));
@@ -453,7 +456,7 @@ Chain make_chain(std::vector<server::StorageServer*> servers, const ChainOptions
     t = std::make_shared<FaultTransport>(std::move(t), options.faults);
   }
   if (options.retry.enabled()) {
-    t = std::make_shared<RetryTransport>(std::move(t), options.retry, options.retry_seed);
+    t = std::make_shared<RetryTransport>(std::move(t), options.retry, kRetrySeed);
   }
   if (options.circuit_threshold > 0) {
     chain.breaker = std::make_shared<CircuitBreakerTransport>(std::move(t),

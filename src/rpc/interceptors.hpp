@@ -185,7 +185,6 @@ class NetChargeTransport : public Filter {
 /// Null/zero options skip their layer entirely.
 struct ChainOptions {
   RetryPolicy retry;                              ///< disabled unless max_attempts > 1
-  std::uint64_t retry_seed = 1234;                ///< backoff jitter seed, per client
   int circuit_threshold = 0;                      ///< 0: no breaker layer
   std::shared_ptr<fault::FaultInjector> faults;   ///< null: no fault layer
   /// Link bucket per storage node id (see NetChargeTransport); empty: no

@@ -12,23 +12,12 @@
 
 #include "common/clock.hpp"
 #include "common/ring.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "common/stats.hpp"
 #include "pfs/client.hpp"
 
 namespace dosas::scale {
 
 namespace {
-
-/// Nearest-rank-interpolated percentile over raw samples, p in [0, 100].
-double percentile_of(std::vector<double> samples, double p) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const double rank = p / 100.0 * static_cast<double>(samples.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const auto hi = std::min(lo + 1, samples.size() - 1);
-  return samples[lo] + (samples[hi] - samples[lo]) * (rank - static_cast<double>(lo));
-}
 
 /// Deterministic per-key file contents: doubles any kernel can digest,
 /// cheap to regenerate, distinct across keys.
@@ -96,12 +85,6 @@ ScaleReport run_scale(const ScaleScenario& scenario) {
 
 ScaleReport run_scale(const ScaleScenario& scenario, const Schedule& schedule) {
   assert(!scenario.traffic.tenants.empty());
-  // Quantile sketches and the trace buffer ingest in completion-scheduling
-  // order, which is not part of the deterministic surface — force both off
-  // for the fingerprinted run (same rule as the striped DST scenario).
-  obs::MetricsRegistry::global().set_enabled(false);
-  obs::Tracer::global().set_enabled(false);
-
   ScaleReport report;
   report.requests = schedule.ops.size();
   report.records.resize(schedule.ops.size());
@@ -256,9 +239,9 @@ ScaleReport run_scale(const ScaleScenario& scenario, const Schedule& schedule) {
     report.demotion_rate = static_cast<double>(report.demoted + report.resumed_local) /
                            static_cast<double>(report.requests);
   }
-  report.p50_ms = percentile_of(latencies_ms, 50.0);
-  report.p95_ms = percentile_of(latencies_ms, 95.0);
-  report.p99_ms = percentile_of(latencies_ms, 99.0);
+  report.p50_ms = percentile(latencies_ms, 50.0);
+  report.p95_ms = percentile(latencies_ms, 95.0);
+  report.p99_ms = percentile(latencies_ms, 99.0);
 
   // Bit-exact determinism probe: schedule, every record, counters, final
   // virtual time. Two same-seed runs must agree on all of it.

@@ -34,9 +34,10 @@
 //     and resolves it (wait() runs demoted/interrupted kernels on the
 //     completer, paced at C — limited client CPUs queue exactly like the
 //     cost model's z term says).
-//   * Metrics and tracing are forced OFF during the run: quantile sketches
-//     ingest in completion-scheduling order, which is not part of the
-//     deterministic surface.
+//   * Metrics and tracing stay as the caller set them. Histograms are
+//     order-independent and the completion order is fixed by the clock's
+//     run rule, so turning either on leaves the fingerprint unchanged
+//     (tests/dst/test_replay.cpp).
 #pragma once
 
 #include <cstdint>

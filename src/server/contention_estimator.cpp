@@ -10,8 +10,7 @@ ContentionEstimator::ContentionEstimator(Config config, RateTable rates)
     : config_(std::move(config)),
       rates_(std::move(rates)),
       optimizer_(sched::make_optimizer(config_.optimizer)),
-      cpu_ewma_(config_.ewma_alpha),
-      mem_ewma_(config_.ewma_alpha) {
+      cpu_ewma_(config_.ewma_alpha) {
   assert(optimizer_ != nullptr && "unknown optimizer name");
 }
 
@@ -19,7 +18,6 @@ void ContentionEstimator::observe(const SystemStatus& status) {
   std::lock_guard lock(mu_);
   last_ = status;
   cpu_ewma_.add(status.cpu_utilization);
-  mem_ewma_.add(status.memory_utilization);
   if (obs::metrics_enabled()) {
     // Raw probe vs the smoothed estimate the scheduler actually acts on —
     // the estimated-vs-observed gap the estimator ablation studies.
@@ -36,7 +34,6 @@ SystemStatus ContentionEstimator::smoothed() const {
   std::lock_guard lock(mu_);
   SystemStatus s = last_;
   if (cpu_ewma_.primed()) s.cpu_utilization = cpu_ewma_.value();
-  if (mem_ewma_.primed()) s.memory_utilization = mem_ewma_.value();
   return s;
 }
 
@@ -52,9 +49,8 @@ Result<sched::CostModel> ContentionEstimator::model_for(const std::string& op) c
     std::lock_guard lock(mu_);
     // Only *external* pressure derates S: the kernels this very scheduler
     // places are the thing being decided, so their load must not be
-    // double-counted. The probe layer reports external pressure in
-    // memory_utilization-adjacent fields; we use the smoothed CPU signal
-    // net of our own running kernels where the probe provides it.
+    // double-counted. The probe reports external pressure as
+    // cpu_utilization (normal-I/O service work); we use its smoothed value.
     const double external = cpu_ewma_.primed() ? cpu_ewma_.value() : 0.0;
     s = sched::derate_storage_rate(s, external);
   }

@@ -69,7 +69,6 @@ class ContentionEstimator {
   mutable std::mutex mu_;
   SystemStatus last_{};
   Ewma cpu_ewma_;
-  Ewma mem_ewma_;
   mutable std::uint64_t decisions_ = 0;
 };
 

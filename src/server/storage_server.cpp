@@ -470,7 +470,6 @@ SystemStatus StorageServer::snapshot_status_locked() const {
   // node). The kernels themselves are the variable under optimization.
   s.cpu_utilization =
       std::min(1.0, static_cast<double>(normal_inflight_) / static_cast<double>(config_.cores));
-  s.memory_utilization = 0.0;  // in-memory store: not a constraint here
   return s;
 }
 

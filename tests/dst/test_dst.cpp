@@ -15,10 +15,9 @@
 //   * striped — four storage nodes, striped files, pipelined async reads
 //     (read_ex_async) fanned out from one application thread, with
 //     injected kernel throws, stragglers, and network loss recovered by
-//     the retry interceptor. Real threads compute concurrently, so
-//     order-sensitive aggregates (P2 quantiles, trace buffer order, tids)
-//     are excluded; results, counter totals, the sorted trace projection,
-//     and the virtual timeline are still bit-identical.
+//     the retry interceptor. Results, counter totals, the full metrics
+//     text (histograms are order-independent), the sorted trace
+//     projection, and the virtual timeline are bit-identical.
 //
 // A third test asserts the economic point of virtual time: a scenario
 // whose injected delays span seconds of virtual time completes an order
@@ -174,7 +173,8 @@ ScenarioOutput run_striped(std::uint64_t seed) {
   ScopedClockOverride override_clock(vc);
   obs::MetricsRegistry::global().clear();
   obs::Tracer::global().clear();
-  obs::Tracer::global().set_enabled(true);  // metrics stay off: P2 order races
+  obs::MetricsRegistry::global().set_enabled(true);
+  obs::Tracer::global().set_enabled(true);
 
   ScenarioOutput out;
   const Seconds wall_start = wall_clock().now();
@@ -237,12 +237,15 @@ ScenarioOutput run_striped(std::uint64_t seed) {
 
     std::ostringstream fp;
     append_common_counters(fp, cluster, vc);
+    fp << "--- metrics ---\n" << obs::MetricsRegistry::global().to_text();
     fp << "--- trace ---\n" << canonical_trace();
     out.fingerprint = fp.str();
     out.virtual_end = vc.now();
   }
   out.wall_elapsed = wall_clock().now() - wall_start;
+  obs::MetricsRegistry::global().set_enabled(false);
   obs::Tracer::global().set_enabled(false);
+  obs::MetricsRegistry::global().clear();
   obs::Tracer::global().clear();
   return out;
 }
@@ -421,11 +424,11 @@ TEST(Dst, FingerprintsMatchRecordedDigests) {
   // They were identical in Release, Debug and TSan builds.
   const auto digest = [](const std::string& fp) { return scale::fnv1a(fp.data(), fp.size()); };
   const auto serialized_2012 = run_serialized(2012).fingerprint;
-  EXPECT_EQ(digest(serialized_2012), 0x21b03b7aac3668ceULL) << serialized_2012;
+  EXPECT_EQ(digest(serialized_2012), 0xcf98710f7ef603afULL) << serialized_2012;
   const auto serialized_7777 = run_serialized(7777).fingerprint;
-  EXPECT_EQ(digest(serialized_7777), 0x1cd2e32cb223d7c0ULL) << serialized_7777;
+  EXPECT_EQ(digest(serialized_7777), 0x8b9d55610107da1fULL) << serialized_7777;
   const auto striped = run_striped(424242).fingerprint;
-  EXPECT_EQ(digest(striped), 0x4351d2406ab23e90ULL) << striped;
+  EXPECT_EQ(digest(striped), 0x961b4f86eb829e00ULL) << striped;
 }
 
 TEST(Dst, VirtualTimeBeatsWallClockTenfold) {

@@ -7,13 +7,16 @@
 // completers. kNode was fingerprint-grade before because it kept every
 // client-side user of a node's link on one completer; kClient (the
 // paper's one-CPU-per-client shape) let OS scheduling pick who got a hot
-// link at tied virtual instants. Both must now give one fingerprint.
+// link at tied virtual instants. Both must now give one fingerprint, and
+// turning metrics and tracing on must not change it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <set>
 #include <string>
 
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "scale/harness.hpp"
 #include "scale/traffic.hpp"
 
@@ -72,6 +75,33 @@ TEST(Replay, ContendShapedScheduleHasOneFingerprintPerAffinity) {
     // kClient used to leave to the OS is exercised.
     EXPECT_GT(handed_back, 0u) << name;
   }
+}
+
+TEST(Replay, MetricsAndTracingLeaveTheFingerprintAlone) {
+  ScaleScenario scenario = contend_shaped(CompleterAffinity::kNode);
+  scenario.traffic.requests = 300;
+  const Schedule schedule = generate_traffic(scenario.traffic, 1);
+  auto& metrics = obs::MetricsRegistry::global();
+  auto& tracer = obs::Tracer::global();
+  const ScaleReport off = run_scale(scenario, schedule);
+
+  std::string snapshots[2];
+  for (std::string& snapshot : snapshots) {
+    metrics.clear();
+    tracer.clear();
+    metrics.set_enabled(true);
+    tracer.set_enabled(true);
+    const ScaleReport on = run_scale(scenario, schedule);
+    metrics.set_enabled(false);
+    tracer.set_enabled(false);
+    EXPECT_EQ(on.fingerprint, off.fingerprint);
+    EXPECT_GT(tracer.event_count(), 0u);
+    snapshot = metrics.to_text();
+  }
+  EXPECT_NE(snapshots[0].find("stage.e2e_us.gaussian2d"), std::string::npos) << snapshots[0];
+  EXPECT_EQ(snapshots[0], snapshots[1]);
+  metrics.clear();
+  tracer.clear();
 }
 
 }  // namespace

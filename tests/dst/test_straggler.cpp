@@ -92,7 +92,7 @@ StragglerOutput run_straggler(std::uint64_t seed, bool hedge) {
   ScopedClockOverride override_clock(vc);
   obs::MetricsRegistry::global().clear();
   obs::Tracer::global().clear();
-  obs::Tracer::global().set_enabled(true);  // metrics stay off: P2 order races
+  obs::Tracer::global().set_enabled(true);
 
   StragglerOutput out;
   {

@@ -168,34 +168,6 @@ TEST(Rng, MeanOfUniformIsCentered) {
 
 // ---------------------------------------------------------------- stats
 
-TEST(RunningStats, MeanAndStddev) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 0.001);  // sample stddev
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStats, SingleSample) {
-  RunningStats s;
-  s.add(3.5);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.5);
-  EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
-  EXPECT_DOUBLE_EQ(s.min(), 3.5);
-  EXPECT_DOUBLE_EQ(s.max(), 3.5);
-}
-
-TEST(RunningStats, ResetClears) {
-  RunningStats s;
-  s.add(1.0);
-  s.reset();
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-}
-
 TEST(Ewma, ConvergesTowardConstantInput) {
   Ewma e(0.5);
   for (int i = 0; i < 20; ++i) e.add(10.0);
@@ -218,20 +190,15 @@ TEST(Ewma, WeightsRecentSamples) {
 }
 
 TEST(Samples, PercentilesInterpolate) {
-  Samples s;
-  for (int i = 1; i <= 100; ++i) s.add(static_cast<double>(i));
-  EXPECT_NEAR(s.percentile(0), 1.0, 1e-9);
-  EXPECT_NEAR(s.percentile(100), 100.0, 1e-9);
-  EXPECT_NEAR(s.median(), 50.5, 1e-9);
-  EXPECT_NEAR(s.percentile(90), 90.1, 1e-9);
-  EXPECT_DOUBLE_EQ(s.mean(), 50.5);
+  std::vector<double> s;
+  for (int i = 100; i >= 1; --i) s.push_back(static_cast<double>(i));
+  EXPECT_NEAR(percentile(s, 0), 1.0, 1e-9);
+  EXPECT_NEAR(percentile(s, 100), 100.0, 1e-9);
+  EXPECT_NEAR(percentile(s, 50), 50.5, 1e-9);
+  EXPECT_NEAR(percentile(s, 90), 90.1, 1e-9);
 }
 
-TEST(Samples, EmptyIsZero) {
-  Samples s;
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.percentile(50), 0.0);
-}
+TEST(Samples, EmptyIsZero) { EXPECT_DOUBLE_EQ(percentile({}, 50), 0.0); }
 
 // ---------------------------------------------------------------- serialize
 

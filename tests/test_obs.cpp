@@ -1,15 +1,16 @@
 // Tests for the observability subsystem: metrics registry thread safety,
-// histogram bucket semantics, the disabled-path no-op guarantee, and the
-// Chrome trace JSON export.
+// the log-linear histogram's accuracy and order independence, the
+// disabled-path no-op guarantee, and the Chrome trace JSON export.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <random>
+#include <sstream>
 #include <thread>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -36,33 +37,8 @@ TEST(Gauge, SetAndAdd) {
   Gauge g;
   g.set(3.5);
   EXPECT_DOUBLE_EQ(g.value(), 3.5);
-  g.add(1.5);
-  EXPECT_DOUBLE_EQ(g.value(), 5.0);
-  g.add(-5.0);
-  EXPECT_DOUBLE_EQ(g.value(), 0.0);
-}
-
-TEST(Histogram, LeBucketBoundaries) {
-  Histogram h({1.0, 2.0, 4.0});
-  ASSERT_EQ(h.bucket_count(), 4u);  // 3 bounds + overflow
-
-  h.observe(0.5);  // <= 1   -> bucket 0
-  h.observe(1.0);  // <= 1   -> bucket 0 ("le" semantics: boundary inclusive)
-  h.observe(1.5);  // <= 2   -> bucket 1
-  h.observe(2.0);  // <= 2   -> bucket 1
-  h.observe(3.0);  // <= 4   -> bucket 2
-  h.observe(9.0);  // > 4    -> overflow
-
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(1), 2u);
-  EXPECT_EQ(h.bucket(2), 1u);
-  EXPECT_EQ(h.bucket(3), 1u);
-
-  const auto s = h.summary();
-  EXPECT_EQ(s.count, 6u);
-  EXPECT_DOUBLE_EQ(s.min, 0.5);
-  EXPECT_DOUBLE_EQ(s.max, 9.0);
-  EXPECT_NEAR(s.mean, (0.5 + 1.0 + 1.5 + 2.0 + 3.0 + 9.0) / 6.0, 1e-12);
+  g.set(-1.0);  // last value wins
+  EXPECT_DOUBLE_EQ(g.value(), -1.0);
 }
 
 TEST(Histogram, ConcurrentObservesKeepTotalCount) {
@@ -80,30 +56,148 @@ TEST(Histogram, ConcurrentObservesKeepTotalCount) {
   }
   for (auto& w : workers) w.join();
   std::uint64_t total = 0;
-  for (std::size_t b = 0; b < h.bucket_count(); ++b) total += h.bucket(b);
+  for (std::size_t b = 0; b < Histogram::kBucketCount; ++b) total += h.bucket(b);
   EXPECT_EQ(total, static_cast<std::uint64_t>(kThreads) * kPerThread);
   EXPECT_EQ(h.summary().count, static_cast<std::size_t>(kThreads) * kPerThread);
 }
 
-TEST(P2Quantile, TracksMedianOfShuffledStream) {
-  std::vector<double> values(2001);
-  for (std::size_t i = 0; i < values.size(); ++i) values[i] = static_cast<double>(i);
-  std::mt19937 rng(2012);
-  std::shuffle(values.begin(), values.end(), rng);
-
-  P2Quantile p50(0.5);
-  for (double v : values) p50.add(v);
-  EXPECT_EQ(p50.count(), values.size());
-  // P² is approximate; the true median is 1000.
-  EXPECT_NEAR(p50.value(), 1000.0, 50.0);
+/// Every Summary field, doubles as exact hex floats.
+std::string exact(const Histogram::Summary& s) {
+  std::ostringstream out;
+  out << std::hexfloat << s.count << ' ' << s.mean << ' ' << s.min << ' ' << s.max << ' '
+      << s.p50 << ' ' << s.p90 << ' ' << s.p99 << ' ' << s.exemplar_trace_id;
+  return out.str();
 }
 
-TEST(P2Quantile, ExactBelowFiveSamples) {
-  P2Quantile q(0.5);
-  q.add(10.0);
-  q.add(30.0);
-  q.add(20.0);
-  EXPECT_DOUBLE_EQ(q.value(), 20.0);
+struct Sample {
+  double value;
+  std::uint64_t trace_id;
+};
+
+TEST(Histogram, SummaryAndJsonDependOnlyOnTheSampleMultiset) {
+  // Lognormal latencies, a tail of exact ties at the maximum (so the
+  // exemplar tie-break is exercised), zeros, and samples without a trace.
+  std::mt19937_64 rng(2012);
+  std::lognormal_distribution<double> lognormal(5.0, 1.5);
+  std::vector<Sample> samples;
+  for (std::uint64_t i = 0; i < 20000; ++i) samples.push_back({lognormal(rng), i % 7 == 0 ? 0 : i});
+  for (std::uint64_t i = 0; i < 50; ++i) samples.push_back({0.0, 100000 + i});
+  for (std::uint64_t i = 0; i < 8; ++i) samples.push_back({1e8, 200000 + (i * 37) % 11});
+
+  const auto render = [](const std::vector<Sample>& order, int threads) {
+    MetricsRegistry reg;
+    Histogram& h = reg.histogram("lat");
+    std::vector<std::thread> workers;
+    for (int t = 0; t < threads; ++t) {
+      workers.emplace_back([&, t] {
+        for (std::size_t i = t; i < order.size(); i += threads) {
+          h.observe(order[i].value, order[i].trace_id);
+        }
+      });
+    }
+    for (auto& w : workers) w.join();
+    return exact(h.summary()) + "\n" + reg.to_json() + "\n" + reg.to_text();
+  };
+
+  std::vector<Sample> order = samples;
+  const std::string reference = render(order, 1);
+  std::reverse(order.begin(), order.end());
+  EXPECT_EQ(render(order, 1), reference) << "reversed";
+  std::sort(order.begin(), order.end(),
+            [](const Sample& a, const Sample& b) { return a.value < b.value; });
+  EXPECT_EQ(render(order, 1), reference) << "ascending";
+  std::shuffle(order.begin(), order.end(), rng);
+  EXPECT_EQ(render(order, 1), reference) << "shuffled";
+  EXPECT_EQ(render(order, 4), reference) << "four threads";
+  EXPECT_NE(reference.find("exemplar=trace:200009"), std::string::npos) << reference;
+}
+
+/// The ceil(pct% * n)-th smallest sample.
+double nearest_rank(std::vector<double> v, int pct) {
+  std::sort(v.begin(), v.end());
+  return v[(static_cast<std::size_t>(pct) * v.size() + 99) / 100 - 1];
+}
+
+TEST(Histogram, QuantilesStayWithinTheStatedErrorOfNearestRank) {
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::lognormal_distribution<double> lognormal(4.0, 2.0);
+  std::normal_distribution<double> fast(200.0, 10.0), slow(50000.0, 2000.0);
+  std::bernoulli_distribution coin(0.3);
+  std::vector<std::pair<std::string, std::vector<double>>> inputs(3);
+  inputs[0].first = "uniform 0..1";  // sim.util.* is a 0..1 series
+  inputs[1].first = "lognormal";
+  inputs[2].first = "bimodal";
+  for (int i = 0; i < 10000; ++i) {
+    inputs[0].second.push_back(i % 10 == 0 ? 0.0 : unit(rng));
+    inputs[1].second.push_back(lognormal(rng));
+    inputs[2].second.push_back(coin(rng) ? slow(rng) : fast(rng));
+  }
+  // Below 2^kMinExponent a sample reads as 0 (clamped to [min, max]).
+  const double floor = std::ldexp(1.0, Histogram::kMinExponent);
+  for (const auto& [name, values] : inputs) {
+    Histogram h;
+    for (double v : values) h.observe(v);
+    const auto s = h.summary();
+    ASSERT_EQ(s.count, values.size()) << name;
+    EXPECT_EQ(s.min, *std::min_element(values.begin(), values.end())) << name;
+    EXPECT_EQ(s.max, *std::max_element(values.begin(), values.end())) << name;
+    const std::pair<int, double> quantiles[] = {{50, s.p50}, {90, s.p90}, {99, s.p99}};
+    for (const auto& [pct, got] : quantiles) {
+      const double want = nearest_rank(values, pct);
+      EXPECT_LE(std::abs(got - want), Histogram::kRelativeError * want + (want < floor ? floor : 0))
+          << name << " p" << pct << ": " << got << " vs exact " << want;
+    }
+    double sum = 0.0;
+    for (double v : values) sum += v;
+    const double mean = sum / static_cast<double>(values.size());
+    EXPECT_LE(std::abs(s.mean - mean), Histogram::kRelativeError * mean + floor) << name;
+    EXPECT_LE(s.min, s.p50) << name;
+    EXPECT_LE(s.p50, s.p90) << name;
+    EXPECT_LE(s.p90, s.p99) << name;
+    EXPECT_LE(s.p99, s.max) << name;
+  }
+}
+
+TEST(Histogram, BucketsSpanTheRegistrysRangeAtTheStatedResolution) {
+  // Zero lands in the underflow bucket and reads back as exactly 0.
+  Histogram zeros;
+  zeros.observe(0.0);
+  zeros.observe(0.0);
+  EXPECT_EQ(zeros.bucket(0), 2u);
+  EXPECT_EQ(zeros.summary().p99, 0.0);
+  EXPECT_EQ(zeros.summary().mean, 0.0);
+
+  // 1e-3 to ~1.1e9 (sub-millisecond latencies to byte counts) fall in
+  // log-linear buckets, not in the open-ended ones at either end.
+  for (const double v : {1e-3, 0.25, 1.0, 1.5, 118.0, 4096.0, 1.1e9}) {
+    Histogram h;
+    h.observe(v);
+    std::size_t hit = Histogram::kBucketCount;
+    for (std::size_t i = 0; i < Histogram::kBucketCount; ++i) {
+      if (h.bucket(i) != 0) hit = i;
+    }
+    ASSERT_GT(hit, 0u) << v;
+    ASSERT_LT(hit, Histogram::kBucketCount - 1) << v;
+    const double lo = Histogram::bucket_lower(hit), hi = Histogram::bucket_upper(hit);
+    EXPECT_LE(lo, v);
+    EXPECT_LT(v, hi);
+    EXPECT_LE((hi - lo) / lo, 2.0 * Histogram::kRelativeError) << v;
+  }
+}
+
+TEST(Histogram, ExemplarTieGoesToTheLargerTraceId) {
+  const std::vector<Sample> samples = {{5.0, 42}, {9.0, 55}, {9.0, 77}, {7.0, 99}, {9.0, 3},
+                                       {20.0, 0}};  // the max carries no trace
+  for (int reversed = 0; reversed < 2; ++reversed) {
+    Histogram h;
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      const Sample& x = samples[reversed ? samples.size() - 1 - i : i];
+      h.observe(x.value, x.trace_id);
+    }
+    EXPECT_EQ(h.summary().exemplar_trace_id, 77u) << "reversed=" << reversed;
+    EXPECT_EQ(h.summary().max, 20.0);
+  }
 }
 
 TEST(Registry, FindOrCreateAndSnapshots) {
@@ -112,9 +206,6 @@ TEST(Registry, FindOrCreateAndSnapshots) {
   reg.gauge("a.depth").set(7.0);
   reg.histogram("a.lat").observe(0.5);
   EXPECT_EQ(&reg.counter("a.count"), &reg.counter("a.count"));
-  EXPECT_TRUE(reg.contains("a.depth"));
-  EXPECT_FALSE(reg.contains("missing"));
-  EXPECT_EQ(reg.size(), 3u);
 
   const std::string text = reg.to_text();
   EXPECT_NE(text.find("a.count"), std::string::npos);
@@ -124,10 +215,13 @@ TEST(Registry, FindOrCreateAndSnapshots) {
   const std::string json = reg.to_json();
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"a.count\""), std::string::npos);
-  EXPECT_NE(json.find("\"+inf\""), std::string::npos);  // overflow bucket
+  // Non-empty buckets only, with exact bounds: 0.5 is in [2^-1, 2^-1 * 33/32).
+  EXPECT_NE(json.find("\"buckets\":[{\"lo\":0.5,\"hi\":0.515625,\"count\":1}]"),
+            std::string::npos)
+      << json;
 
   reg.clear();
-  EXPECT_EQ(reg.size(), 0u);
+  EXPECT_EQ(reg.to_text(), "");
 }
 
 TEST(Registry, DisabledHelpersAreNoOps) {
@@ -137,9 +231,7 @@ TEST(Registry, DisabledHelpersAreNoOps) {
   gauge_set("test_obs.disabled_gauge", 1.0);
   observe("test_obs.disabled_hist", 1.0);
   EXPECT_FALSE(metrics_enabled());
-  EXPECT_FALSE(reg.contains("test_obs.disabled_counter"));
-  EXPECT_FALSE(reg.contains("test_obs.disabled_gauge"));
-  EXPECT_FALSE(reg.contains("test_obs.disabled_hist"));
+  EXPECT_EQ(reg.to_text().find("test_obs.disabled_"), std::string::npos);
 }
 
 TEST(Registry, EnabledHelpersRecord) {

@@ -100,7 +100,7 @@ fi
 # The hedging design note must keep naming its load-bearing knobs, and
 # the data-plane section its load-bearing types and contracts.
 if [ -f docs/ARCHITECTURE.md ]; then
-  for token in hedge_reads hedge_min_delay hedge_max_per_read node_latency \
+  for token in hedge_reads kHedgeMinDelay kHedgeMaxPerRead node_latency \
                BufferRef BufferArena QueuePoll read_object_ref \
                close-then-drain SpscRing serve_write cache_lookup \
                CopySite; do

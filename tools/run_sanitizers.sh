@@ -4,10 +4,11 @@
 #   tools/run_sanitizers.sh [address] [undefined] [thread]
 #
 # With no arguments, runs address and undefined over the full suite, then
-# thread over the concurrency-heavy tests and every binary that holds
-# VirtualClock tests (whose participants are fibers, so TSan checks the
-# fiber switch annotations too) — TSan on everything is slow and the other
-# tests are single-threaded.
+# thread over the concurrency-heavy tests (including test_obs, whose
+# concurrent observers race on the histograms' atomics) and every binary
+# that holds VirtualClock tests (whose participants are fibers, so TSan
+# checks the fiber switch annotations too) — TSan on everything is slow
+# and the other tests are single-threaded.
 #
 # Each sanitizer gets its own build tree (build-asan/, build-ubsan/,
 # build-tsan/) so switching sanitizers never needs a reconfigure.
@@ -34,14 +35,16 @@ run_one() {
   cmake --build "$dir" -j "$JOBS" >/dev/null
 
   if [ "$mode" = thread ]; then
-    # Concurrency-heavy tier only: servers, stress, resilience, and every
-    # binary with VirtualClock tests — the deterministic-simulation suites
-    # run their participants as fibers on one OS thread (ctest registers
-    # individual gtest cases, so run the binaries).
+    # Concurrency-heavy tier only: servers, stress, resilience, the metrics
+    # registry, and every binary with VirtualClock tests — the
+    # deterministic-simulation suites run their participants as fibers on
+    # one OS thread (ctest registers individual gtest cases, so run the
+    # binaries).
     local bin
     for bin in test_server test_stress test_resilience test_fault test_dst \
                test_hedge test_straggler test_ring test_arena test_dataplane \
-               test_common test_cache_resume test_scale test_replay test_rpc; do
+               test_common test_cache_resume test_scale test_replay test_rpc \
+               test_obs; do
       "$dir/tests/$bin"
     done
   else
