@@ -19,7 +19,6 @@
 #include "common/clock.hpp"
 #include "common/ring.hpp"
 #include "core/cluster.hpp"
-#include "obs/contention.hpp"
 #include "pfs/layout.hpp"
 #include "rpc/transport.hpp"
 
@@ -399,16 +398,6 @@ int main() {
   out.demotion_rate(st.reads_ex > 0 ? static_cast<double>(st.demoted + st.node_down_demotes) /
                                           static_cast<double>(st.reads_ex)
                                     : 0.0);
-  // Publish the schedule-dependent data-plane gauges explicitly (they are
-  // never auto-emitted: DST fingerprints must not see them) so the metrics
-  // dump alongside this record carries ring.*, arena.* and
-  // data.bytes_copied for eyeballing.
-  RingStats ring_total;
-  for (std::uint32_t s = 0; s < kNodes; ++s) {
-    ring_total += cluster.storage_server(s).dispatch_ring_stats();
-  }
-  obs::publish_ring_stats(ring_total);
-  obs::publish_bytes_copied();
   out.stages_from_metrics();
   out.write();
   std::printf(

@@ -67,7 +67,6 @@ kernels::ProgressFn compute_pacer(const server::RateTable* rates, const std::str
 struct LocalCauseInfo {
   std::uint64_t ActiveClient::Stats::*counter;  ///< bumped when the finish starts
   bool local_run;  ///< counts as a local kernel run at start (a hedge twin: only if it wins)
-  const char* metric;          ///< counted when the finish starts (null: none)
   const char* compute_metric;  ///< client compute-time histogram (null: none)
   obs::FlightEventKind flight;
   const char* flight_msg;
@@ -79,23 +78,23 @@ struct LocalCauseInfo {
 /// Indexed by ActiveClient::LocalCause.
 constexpr LocalCauseInfo kLocalCauses[] = {
     // kRejected — paper §III-C case 1: demoted at arrival, full local run.
-    {&ActiveClient::Stats::demoted, true, "client.demoted", "client.demoted_compute_us",
+    {&ActiveClient::Stats::demoted, true, "client.demoted_compute_us",
      obs::FlightEventKind::kDemotion, "rejected at admission: finishing locally",
      "client.demote", "client_demote", false},
     // kInterrupted — paper §III-C case 2: resume from the shipped checkpoint.
-    {&ActiveClient::Stats::resumed_local, true, "client.resumed", "client.resume_compute_us",
+    {&ActiveClient::Stats::resumed_local, true, "client.resume_compute_us",
      obs::FlightEventKind::kResume, "restoring checkpoint, finishing locally", "client.resume",
      "client_resume", false},
     // kFailed — a transient server-side failure retried as normal I/O.
-    {&ActiveClient::Stats::failed_remote_retries, true, nullptr, nullptr,
+    {&ActiveClient::Stats::failed_remote_retries, true, nullptr,
      obs::FlightEventKind::kStateTransition, "remote active I/O failed: local fallback",
      nullptr, nullptr, false},
     // kCircuitOpen — the node's active runtime stopped answering.
-    {&ActiveClient::Stats::node_down_demotes, true, "client.node_down_demotes", nullptr,
+    {&ActiveClient::Stats::node_down_demotes, true, nullptr,
      obs::FlightEventKind::kDemotion, "circuit open: serving via normal I/O",
      "client.node_down_demote", "node_down", false},
     // kHedge — the local twin raced against a straggling leg.
-    {&ActiveClient::Stats::hedges_fired, false, "client.hedges_fired", nullptr,
+    {&ActiveClient::Stats::hedges_fired, false, nullptr,
      obs::FlightEventKind::kHedge, "leg past hedge delay: racing a local twin", "client.hedge",
      "hedge", true},
 };
@@ -496,7 +495,6 @@ Result<std::vector<std::uint8_t>> ActiveClient::resolve_leg(const pfs::FileMeta&
         ++stats_.hedges_won;
         ++stats_.local_kernel_runs;
       }
-      if (obs::metrics_enabled()) obs::count("client.hedges_won");
       obs::flight_record(obs::FlightEventKind::kHedge, leg.ctx.trace_id,
                          static_cast<std::uint32_t>(leg.ext.server), 0,
                          "hedge won: remote leg cancelled");
@@ -508,7 +506,6 @@ Result<std::vector<std::uint8_t>> ActiveClient::resolve_leg(const pfs::FileMeta&
       std::lock_guard lock(mu_);
       ++stats_.hedges_wasted;
     }
-    if (obs::metrics_enabled()) obs::count("client.hedges_wasted");
     obs::flight_record(obs::FlightEventKind::kHedge, leg.ctx.trace_id,
                        static_cast<std::uint32_t>(leg.ext.server), 0,
                        "hedge wasted: remote reply stands");
@@ -621,7 +618,6 @@ Result<std::vector<std::uint8_t>> ActiveClient::finish_leg_locally(
     ++(stats_.*info.counter);
     if (info.local_run) ++stats_.local_kernel_runs;
   }
-  if (info.metric != nullptr && obs::metrics_enabled()) obs::count(info.metric);
   auto created = registry_.create(operation);
   if (!created.is_ok()) return created.status();
   kernels::Kernel& kernel = *created.value();
@@ -638,7 +634,6 @@ Result<std::vector<std::uint8_t>> ActiveClient::finish_leg_locally(
       std::lock_guard lock(mu_);
       ++stats_.checkpoint_corrupt_restarts;
     }
-    if (obs::metrics_enabled()) obs::count("client.ckpt_corrupt_restarts");
     obs::flight_record(obs::FlightEventKind::kStateTransition, leg.ctx.trace_id, server, 0,
                        "checkpoint refused: clean local restart");
     from = leg.ext.object_offset;
@@ -775,17 +770,8 @@ Result<pfs::FileMeta> ActiveClient::write(const pfs::FileMeta& meta, Bytes offse
 }
 
 ActiveClient::Stats ActiveClient::stats() const {
-  Stats s;
-  {
-    std::lock_guard lock(mu_);
-    s = stats_;
-  }
-  // Retry accounting lives in the transport's retry interceptor now.
-  const auto t = rpc::stats_of(*transport_);
-  s.remote_retries = t.retries;
-  s.exhausted_retries = t.retries_exhausted;
-  s.backoff_total = t.backoff_total;
-  return s;
+  std::lock_guard lock(mu_);
+  return stats_;
 }
 
 }  // namespace dosas::client

@@ -97,6 +97,8 @@ class ActiveClient {
  public:
   using Config = ActiveClientConfig;
 
+  /// This client's own counts. Retries and backoff are counted once, by the
+  /// transport's retry interceptor: read them from transport_stats().
   struct Stats {
     std::uint64_t reads_ex = 0;             ///< read_ex() calls
     std::uint64_t completed_remote = 0;     ///< served fully on storage nodes
@@ -109,12 +111,9 @@ class ActiveClient {
     Bytes raw_bytes_read = 0;               ///< raw data pulled over "the network"
     Bytes raw_bytes_written = 0;            ///< raw data shipped via write()
     Bytes result_bytes_received = 0;        ///< kernel results/checkpoints received
-    std::uint64_t remote_retries = 0;       ///< transient active RPCs re-sent
-    std::uint64_t exhausted_retries = 0;    ///< retry budget spent without success
     std::uint64_t timed_out = 0;            ///< responses that hit the deadline
     std::uint64_t node_down_demotes = 0;    ///< circuit open: straight to local compute
     std::uint64_t checkpoint_corrupt_restarts = 0;  ///< bad checkpoint -> clean local restart
-    Seconds backoff_total = 0;              ///< accrued retry backoff (virtual or slept)
     std::uint64_t hedges_fired = 0;         ///< legs duplicated past their hedge delay
     std::uint64_t hedges_won = 0;           ///< hedges whose local twin beat the RPC
     std::uint64_t hedges_wasted = 0;        ///< hedges where the remote leg won anyway

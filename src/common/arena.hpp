@@ -22,14 +22,13 @@
 //     the arena (and the server that owned it) is already gone, so a
 //     BufferRef safely outlives its server;
 //   * every remaining owning copy on the data path is accounted into the
-//     process-wide data-bytes-copied ledger (note_bytes_copied), which
-//     backs the `data.bytes_copied` metric the benches assert trends to
-//     ~0 on the hot path.
+//     process-wide data-bytes-copied ledger (note_bytes_copied), whose
+//     per-request delta the benches assert trends to ~0 on the hot path.
 //
 // The arena's free-list lock uses the Snippet-1 trylock probe (fast vs
 // contended counts). Stats are schedule-dependent and therefore exposed
-// only as snapshots — publication into the metrics registry is explicit
-// (obs/contention.hpp) so DST fingerprints stay bit-identical.
+// only as snapshots (BufferArena::Stats); they never enter the metrics
+// registry, so DST fingerprints stay bit-identical.
 #pragma once
 
 #include <algorithm>
@@ -71,10 +70,8 @@ inline const char* copy_site_name(CopySite site) {
 }
 
 /// Process-wide ledger of owning data copies on the extent path. Relaxed
-/// monotone counters; benches and tests read deltas around a measured
-/// phase. The total is published to the metrics registry as
-/// `data.bytes_copied` (per-site as `data.bytes_copied.<site>`) only on
-/// explicit request (obs/contention.hpp).
+/// monotone counters; benches, tests and `dosas_ctl runtime` read them
+/// (data_bytes_copied) directly, as deltas around a measured phase.
 struct CopyLedger {
   std::atomic<std::uint64_t> total{0};
   std::atomic<std::uint64_t> by_site[static_cast<std::size_t>(CopySite::kCount)]{};

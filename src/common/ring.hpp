@@ -30,10 +30,10 @@
 // Instrumented per the temporal-slab contention template (SNIPPETS.md
 // Snippet 1): CAS retry counters with attempt denominators, and a
 // trylock-probe on the wake path that splits lock acquisitions into
-// fast vs contended. Stats are exposed as a snapshot struct — they are
-// schedule-dependent, so they must NOT auto-flow into the metrics
-// registry (DST fingerprints compare the full metrics text); callers
-// publish them explicitly (obs/contention.hpp).
+// fast vs contended. Stats are exposed only as a snapshot struct
+// (RingStats), read directly by perfbench and `dosas_ctl runtime`; they are
+// schedule-dependent, so they never enter the metrics registry, whose
+// full text the DST fingerprints compare.
 #pragma once
 
 #include <atomic>

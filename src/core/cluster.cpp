@@ -56,8 +56,4 @@ Cluster::Cluster(ClusterConfig config)
   asc_ = std::make_unique<client::ActiveClient>(pfs_client_, registry_, std::move(raw), cc);
 }
 
-void Cluster::probe_all() {
-  for (auto& s : servers_) s->probe();
-}
-
 }  // namespace dosas::core

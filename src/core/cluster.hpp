@@ -92,10 +92,6 @@ class Cluster {
 
   const ClusterConfig& config() const { return config_; }
 
-  /// Probe every storage node's CE once (the periodic tick, driven
-  /// manually so tests stay deterministic).
-  void probe_all();
-
   /// Accumulated (virtual or real) network transfer delay across the
   /// cluster's link model — the shared bucket or the per-node buckets
   /// summed; 0 when no network_rate is configured.

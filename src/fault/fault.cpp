@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "obs/flight_recorder.hpp"
-#include "obs/metrics.hpp"
 
 namespace dosas::fault {
 
@@ -123,7 +122,6 @@ bool FaultInjector::inject_read_fault(std::uint32_t server) {
   std::lock_guard lock(mu_);
   if (!draw(node_stream_locked(kSiteRead, server), spec_.read_fault)) return false;
   ++stats_.read_faults;
-  obs::count("fault.injected.read");
   obs::flight_record(obs::FlightEventKind::kFaultInjected, 0, server, 0, "read fault");
   return true;
 }
@@ -132,7 +130,6 @@ bool FaultInjector::inject_kernel_throw(std::uint32_t node) {
   std::lock_guard lock(mu_);
   if (!draw(node_stream_locked(kSiteThrow, node), spec_.kernel_throw)) return false;
   ++stats_.kernel_throws;
-  obs::count("fault.injected.kernel_throw");
   obs::flight_record(obs::FlightEventKind::kFaultInjected, 0, node, 0, "kernel throw");
   return true;
 }
@@ -147,7 +144,6 @@ bool FaultInjector::inject_checkpoint_corruption(std::vector<std::uint8_t>& payl
     payload[corrupt_rng_.uniform_index(payload.size())] ^= 0xA5;
   }
   ++stats_.checkpoints_corrupted;
-  obs::count("fault.injected.corrupt_ckpt");
   obs::flight_record(obs::FlightEventKind::kFaultInjected, 0, 0, payload.size(),
                      "checkpoint corrupted");
   return true;
@@ -157,7 +153,6 @@ bool FaultInjector::inject_net_error() {
   std::lock_guard lock(mu_);
   if (!draw(net_rng_, spec_.net_error)) return false;
   ++stats_.net_errors;
-  obs::count("fault.injected.net_error");
   obs::flight_record(obs::FlightEventKind::kFaultInjected, 0, 0, 0, "net error");
   return true;
 }
@@ -168,7 +163,6 @@ Seconds FaultInjector::inject_stall(std::uint32_t node) {
     return 0.0;
   }
   ++stats_.stalls;
-  obs::count("fault.injected.stall");
   obs::flight_record(obs::FlightEventKind::kFaultInjected, 0, node, 0, "stall");
   return spec_.stall_delay;
 }
@@ -188,7 +182,6 @@ void FaultInjector::note_kernel_start(std::uint32_t node) {
         std::find(crashed_nodes_.begin(), crashed_nodes_.end(), node) ==
             crashed_nodes_.end()) {
       crashed_nodes_.push_back(node);
-      obs::count("fault.injected.crash");
       obs::flight_record(obs::FlightEventKind::kFaultInjected, 0, node, it->second,
                          "node crashed (armed)");
       obs::FlightRecorder::global().trigger_dump(
@@ -202,7 +195,6 @@ void FaultInjector::crash_node(std::uint32_t node) {
   if (std::find(crashed_nodes_.begin(), crashed_nodes_.end(), node) ==
       crashed_nodes_.end()) {
     crashed_nodes_.push_back(node);
-    obs::count("fault.injected.crash");
     obs::flight_record(obs::FlightEventKind::kFaultInjected, 0, node, 0, "node crashed");
     obs::FlightRecorder::global().trigger_dump("injected crash of node " +
                                                std::to_string(node));
@@ -219,10 +211,7 @@ bool FaultInjector::node_crashed(std::uint32_t node, bool count_rejection) {
   std::lock_guard lock(mu_);
   const bool down = std::find(crashed_nodes_.begin(), crashed_nodes_.end(), node) !=
                     crashed_nodes_.end();
-  if (down && count_rejection) {
-    ++stats_.crash_rejections;
-    obs::count("fault.injected.crash_reject");
-  }
+  if (down && count_rejection) ++stats_.crash_rejections;
   return down;
 }
 

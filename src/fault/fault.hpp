@@ -26,7 +26,7 @@
 // Every decision draws from a per-(site, node) stream derived purely from
 // one seed, so each node's decision sequence is exactly repeatable even
 // when many worker threads interleave their draws; every injected fault is
-// counted here and in the obs metrics (fault.injected.*).
+// counted once, in Stats, and recorded as a flight-recorder event.
 #pragma once
 
 #include <cstdint>

@@ -1,14 +1,15 @@
 // flight_recorder.hpp — always-on, lock-light crash-dump ring buffer.
 //
-// The metrics registry and tracer answer "how is the system doing" when you
-// asked in advance; the flight recorder answers "what just happened" when
-// you didn't. It keeps the last few thousand structured events — request
-// state transitions, retries, breaker trips, demotions, fault injections —
-// in a fixed-size ring of trivially-copyable slots, recording whether or
-// not metrics/tracing are enabled. When something goes wrong (a deadline
-// miss, an injected node crash), the failing site calls trigger_dump() and
-// the recent history lands on the configured sink (stderr by default), so
-// DST failures and stress-test flakes are debuggable post-hoc.
+// The owners' Stats counts, the metrics registry and the tracer answer
+// "how is the system doing"; the flight recorder answers "what just
+// happened, and to which request". It keeps the last few thousand
+// structured events — request state transitions, retries, breaker trips,
+// demotions, fault injections — in a fixed-size ring of trivially-copyable
+// slots, recording whether or not metrics/tracing are enabled. When
+// something goes wrong (a deadline miss, an injected node crash), the
+// failing site calls trigger_dump() and the recent history lands on the
+// configured sink (stderr by default), so DST failures and stress-test
+// flakes are debuggable post-hoc.
 //
 // Concurrency: writers claim a slot with one fetch_add and publish it with
 // a per-slot sequence number (seqlock style) — no mutex on the record path.
@@ -116,7 +117,7 @@ class FlightRecorder {
   std::function<void(const std::string&)> sink_;
 };
 
-/// Free helper mirroring obs::count(): record on the global recorder.
+/// Free helper: record on the global recorder.
 inline void flight_record(FlightEventKind kind, std::uint64_t trace_id,
                           std::uint32_t node, std::uint64_t detail,
                           const char* note) {

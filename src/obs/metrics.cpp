@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <iomanip>
 #include <sstream>
 
 #include "common/clock.hpp"
@@ -119,13 +118,6 @@ MetricsRegistry& MetricsRegistry::global() {
   return registry;
 }
 
-Counter& MetricsRegistry::counter(const std::string& name) {
-  std::lock_guard lock(mu_);
-  auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
-}
-
 Gauge& MetricsRegistry::gauge(const std::string& name) {
   std::lock_guard lock(mu_);
   auto& slot = gauges_[name];
@@ -154,11 +146,6 @@ std::string MetricsRegistry::to_text() const {
   // its line position when its neighbours change kind, so snapshots diff
   // cleanly and the DST bit-identical fingerprints stay stable.
   std::map<std::string, std::string> lines;
-  for (const auto& [name, c] : counters_) {
-    std::ostringstream line;
-    line << "counter  " << name << " = " << c->value() << "\n";
-    lines[name] = line.str();
-  }
   for (const auto& [name, g] : gauges_) {
     std::ostringstream line;
     line << "gauge    " << name << " = " << g->value() << "\n";
@@ -179,104 +166,13 @@ std::string MetricsRegistry::to_text() const {
   return out.str();
 }
 
-namespace {
-
-void append_json_string(std::ostringstream& out, const std::string& s) {
-  out << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
-
-}  // namespace
-
-std::string MetricsRegistry::to_json() const {
-  std::lock_guard lock(mu_);
-  std::ostringstream out;
-  out << "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, c] : counters_) {
-    if (!first) out << ',';
-    first = false;
-    append_json_string(out, name);
-    out << ':' << c->value();
-  }
-  out << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    if (!first) out << ',';
-    first = false;
-    append_json_string(out, name);
-    out << ':' << g->value();
-  }
-  out << "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    if (!first) out << ',';
-    first = false;
-    append_json_string(out, name);
-    const auto s = h->summary();
-    out << ":{\"count\":" << s.count << ",\"mean\":" << s.mean << ",\"min\":" << s.min
-        << ",\"max\":" << s.max << ",\"p50\":" << s.p50 << ",\"p90\":" << s.p90
-        << ",\"p99\":" << s.p99;
-    if (s.exemplar_trace_id != 0) out << ",\"exemplar_trace_id\":" << s.exemplar_trace_id;
-    // Non-empty buckets only, ascending; bounds print exactly (they are
-    // dyadic), open ends as strings.
-    out << ",\"buckets\":[" << std::setprecision(17);
-    bool first_bucket = true;
-    for (std::size_t i = 0; i < Histogram::kBucketCount; ++i) {
-      const std::uint64_t n = h->bucket(i);
-      if (n == 0) continue;
-      if (!first_bucket) out << ',';
-      first_bucket = false;
-      out << "{\"lo\":";
-      if (i == 0) {
-        out << "\"-inf\"";
-      } else {
-        out << Histogram::bucket_lower(i);
-      }
-      out << ",\"hi\":";
-      if (i == Histogram::kBucketCount - 1) {
-        out << "\"+inf\"";
-      } else {
-        out << Histogram::bucket_upper(i);
-      }
-      out << ",\"count\":" << n << '}';
-    }
-    out << "]}" << std::setprecision(6);
-  }
-  out << "}}";
-  return out.str();
-}
-
 void MetricsRegistry::clear() {
   std::lock_guard lock(mu_);
-  counters_.clear();
   gauges_.clear();
   histograms_.clear();
 }
 
 // ------------------------------------------------------------ free helpers
-
-void count(const std::string& name, std::uint64_t n) {
-  auto& r = MetricsRegistry::global();
-  if (!r.enabled()) return;
-  r.counter(name).inc(n);
-}
 
 void gauge_set(const std::string& name, double v) {
   auto& r = MetricsRegistry::global();

@@ -1,14 +1,15 @@
-// metrics.hpp — process-wide metrics registry: named counters, gauges, and
-// log-linear histograms, thread-safe and near-zero-cost while disabled.
+// metrics.hpp — process-wide metrics registry: named gauges and log-linear
+// histograms, thread-safe and near-zero-cost while disabled.
 //
 // The paper's whole argument rests on *seeing* contention (Figs. 2/4/5: AS
 // collapses past ~4 concurrent active I/Os per node), and the Contention
 // Estimator's demote/offload decisions are only as good as the utilization
-// signals feeding them. This registry is the runtime feedback surface: the
-// storage server, CE, optimizer, client, and simulator publish queue
-// depths, demotion/interrupt counts, per-kernel throughput, solver
-// latencies, and link utilization here (docs/OBSERVABILITY.md catalogues
-// every name).
+// signals feeding them. This registry carries what has a distribution or a
+// last value: queue depths, per-stage latencies, per-kernel throughput,
+// solver latencies and link utilization (docs/OBSERVABILITY.md catalogues
+// every name). Event counts are not here: each lives once, in its owner's
+// always-on `Stats` struct (StorageServer, ActiveClient, FaultInjector, the
+// transport).
 //
 // Cost discipline: the registry is DISABLED by default. Instrumented hot
 // paths gate on `obs::metrics_enabled()` (one relaxed atomic load) before
@@ -31,18 +32,8 @@
 
 namespace dosas::obs {
 
-/// Monotonic event counter. Thread-safe; relaxed ordering (metrics never
-/// synchronize program state).
-class Counter {
- public:
-  void inc(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::uint64_t> v_{0};
-};
-
 /// Last-value-wins instantaneous measurement (queue depth, utilization).
+/// Thread-safe; relaxed ordering (metrics never synchronize program state).
 class Gauge {
  public:
   void set(double v) { v_.store(v, std::memory_order_relaxed); }
@@ -113,7 +104,7 @@ class Histogram {
   std::atomic<std::uint64_t> exemplar_trace_id_{0};
 };
 
-/// Named metric store. Handles returned by counter()/gauge()/histogram()
+/// Named metric store. Handles returned by gauge()/histogram()
 /// stay valid for the registry's lifetime (metrics are never deallocated
 /// except by clear(), which callers holding handles must not race with).
 class MetricsRegistry {
@@ -129,7 +120,6 @@ class MetricsRegistry {
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   /// Find-or-create.
-  Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
 
@@ -140,8 +130,6 @@ class MetricsRegistry {
   /// Human-readable snapshot: one metric per line, globally sorted by name
   /// regardless of kind, so snapshots diff cleanly across runs.
   std::string to_text() const;
-  /// JSON snapshot: {"counters":{..},"gauges":{..},"histograms":{..}}.
-  std::string to_json() const;
 
   /// Drop every metric. Invalidates outstanding handles — tests only.
   void clear();
@@ -149,7 +137,6 @@ class MetricsRegistry {
  private:
   std::atomic<bool> enabled_{false};
   mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
@@ -163,12 +150,13 @@ class MetricsRegistry {
 
 inline bool metrics_enabled() { return MetricsRegistry::global().enabled(); }
 
-void count(const std::string& name, std::uint64_t n = 1);
 void gauge_set(const std::string& name, double v);
 /// Histogram observe, optionally carrying an exemplar trace id (0 = none).
 void observe(const std::string& name, double v, std::uint64_t exemplar_trace_id = 0);
 
-/// Wall-clock microseconds on the steady clock (for enabled-path timing).
+/// Microseconds on the injected clock, dosas::clock() (for enabled-path
+/// timing). Under a VirtualClock no time passes while code runs, so a span
+/// timed with it there reads 0 unless it sleeps or waits.
 double now_us();
 
 /// Read DOSAS_METRICS / DOSAS_TRACE_OUT from the environment, enable the

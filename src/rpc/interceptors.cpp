@@ -232,9 +232,6 @@ PendingReply RetryTransport::submit_with_retry(Envelope env, PendingReply first_
         self->backoff_total_ += backoff->total();
         if (transient) ++self->exhausted_;
       }
-      if (backoff != nullptr && obs::metrics_enabled()) {
-        obs::count(transient ? "rpc.retries_exhausted" : "rpc.retry_recovered");
-      }
       // This callback is the inner reply's final consumer: take the
       // payload by move instead of copying result/checkpoint buffers.
       outer.complete(std::move(r));
@@ -270,7 +267,6 @@ PendingReply RetryTransport::submit_with_retry(Envelope env, PendingReply first_
         std::lock_guard slock(self->mu_);
         ++self->retries_;
       }
-      if (obs::metrics_enabled()) obs::count("rpc.retries");
       obs::flight_record(obs::FlightEventKind::kRetry, env.trace.trace_id, env.target,
                          static_cast<std::uint64_t>(failed_attempt), "active rpc retry");
       if (obs::tracing_enabled()) {

@@ -29,7 +29,6 @@ Policy Optimizer::run(const CostModel& model, std::span<const ActiveRequest> req
   const std::string strategy = name();
   obs::observe("sched.solver_us." + strategy, obs::now_us() - t0);
   obs::observe("sched.solver_k." + strategy, static_cast<double>(requests.size()));
-  obs::count("sched.demotions." + strategy, requests.size() - policy.active_count());
   return policy;
 }
 

@@ -27,12 +27,11 @@ class Optimizer {
   virtual Policy optimize(const CostModel& model,
                           std::span<const ActiveRequest> requests) const = 0;
 
-  /// Instrumented entry point the Contention Estimator calls: runs
-  /// optimize() and, when the metrics registry is enabled, records solver
-  /// wall time, queue size, and demotions under the strategy's name
-  /// (sched.solver_us.<name>, sched.solver_k.<name>,
-  /// sched.demotions.<name> — see docs/OBSERVABILITY.md). Zero-cost while
-  /// metrics are disabled.
+  /// Instrumented entry point the Contention Estimator calls, and the one
+  /// place a decision is recorded: runs optimize() and, when the metrics
+  /// registry is enabled, records solver time and queue size under the
+  /// strategy's name (sched.solver_us.<name>, sched.solver_k.<name> — see
+  /// docs/OBSERVABILITY.md). Zero-cost while metrics are disabled.
   Policy run(const CostModel& model, std::span<const ActiveRequest> requests) const;
 };
 

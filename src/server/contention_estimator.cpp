@@ -60,42 +60,22 @@ Result<sched::CostModel> ContentionEstimator::model_for(const std::string& op) c
 
 Result<sched::Policy> ContentionEstimator::schedule(
     const std::string& op, std::span<const sched::ActiveRequest> requests) const {
-  // Decision latency: model construction + solver, the full CE response
-  // time the runtime blocks on per policy evaluation.
-  const bool obs_on = obs::metrics_enabled();
-  const double t0 = obs_on ? obs::now_us() : 0.0;
-  auto finish = [&](Result<sched::Policy> policy) {
-    if (obs_on) {
-      obs::observe("ce.decision_us", obs::now_us() - t0);
-      obs::count("ce.decisions");
-      if (policy.is_ok()) {
-        obs::count("ce.demotions_decided",
-                   requests.size() - policy.value().active_count());
-      }
-    }
-    return policy;
-  };
-
   auto model = model_for(op);
   if (!model.is_ok()) {
     // Static policies (the TS/AS baselines) ignore the cost model entirely,
     // so missing rates must not block them.
-    if (config_.optimizer == "all-active" || config_.optimizer == "all-normal") {
-      sched::CostModel dummy;
-      dummy.bandwidth = dummy.storage_rate = dummy.compute_rate = 1.0;
-      {
-        std::lock_guard lock(mu_);
-        ++decisions_;
-      }
-      return finish(optimizer_->run(dummy, requests));
+    if (config_.optimizer != "all-active" && config_.optimizer != "all-normal") {
+      return model.status();
     }
-    return model.status();
+    sched::CostModel dummy;
+    dummy.bandwidth = dummy.storage_rate = dummy.compute_rate = 1.0;
+    model = dummy;
   }
   {
     std::lock_guard lock(mu_);
     ++decisions_;
   }
-  return finish(optimizer_->run(model.value(), requests));
+  return optimizer_->run(model.value(), requests);
 }
 
 std::uint64_t ContentionEstimator::decisions() const {

@@ -47,11 +47,8 @@ StorageServer::StorageServer(pfs::FileSystem& fs, pfs::ServerId server_id,
         // Backstop for exceptions escaping run_kernel itself (run_kernel
         // already converts kernel throws to kFailed responses): count and
         // keep the worker alive rather than letting the process die.
-        {
-          std::lock_guard lock(mu_);
-          ++stats_.kernel_exceptions;
-        }
-        if (obs::metrics_enabled()) obs::count(obs_name_ + ".worker_exceptions");
+        std::lock_guard lock(mu_);
+        ++stats_.kernel_exceptions;
       }) {
   if (config_.probe_interval > 0.0) {
     prober_ = clock().spawn([this] { probe_loop(); }, obs_name_ + " prober");
@@ -119,7 +116,6 @@ Result<BufferRef> StorageServer::serve_normal(pfs::FileHandle handle,
     ++normal_inflight_;
     ++stats_.normal_requests;
   }
-  if (obs::metrics_enabled()) obs::count(obs_name_ + ".normal_requests");
   auto data = fs_.data_server(server_id_).read_object_ref(handle, object_offset, length);
   {
     std::lock_guard lock(mu_);
@@ -136,7 +132,6 @@ Status StorageServer::serve_write(pfs::FileHandle handle, Bytes object_offset,
     ++normal_inflight_;
     ++stats_.normal_requests;
   }
-  if (obs::metrics_enabled()) obs::count(obs_name_ + ".normal_requests");
   // The data server's store is the write path's single copy; `data` is a
   // view of the client's buffer all the way down to here.
   Status st = fs_.data_server(server_id_).write_object(handle, object_offset, data.span());
@@ -179,7 +174,6 @@ std::shared_ptr<StorageServer::Entry> StorageServer::coalesce_or_register(
     ticket.coalesced = true;
     twin->waiters.push_back(Waiter{ticket.waiter, std::move(done)});
     ++stats_.active_coalesced;
-    if (obs::metrics_enabled()) obs::count(obs_name_ + ".coalesced");
     obs::flight_record(obs::FlightEventKind::kCoalesce, request.trace.trace_id, server_id_,
                        twin->request.id, "coalesced onto in-flight twin");
     if (obs::tracing_enabled() && request.trace.valid()) {
@@ -227,17 +221,6 @@ void StorageServer::count_outcome_locked(const ActiveIoResponse& response) {
     case ActiveOutcome::kRejected: ++stats_.active_rejected; break;
     case ActiveOutcome::kInterrupted: ++stats_.active_interrupted; break;
     case ActiveOutcome::kFailed: ++stats_.active_failed; break;
-  }
-  if (obs::metrics_enabled()) {
-    switch (response.outcome) {
-      case ActiveOutcome::kCompleted: obs::count(obs_name_ + ".completed"); break;
-      case ActiveOutcome::kRejected: obs::count(obs_name_ + ".demoted"); break;
-      case ActiveOutcome::kInterrupted:
-        obs::count(obs_name_ + ".interrupted");
-        obs::count(obs_name_ + ".checkpoint_bytes", response.checkpoint.size());
-        break;
-      case ActiveOutcome::kFailed: obs::count(obs_name_ + ".failed"); break;
-    }
   }
 }
 
@@ -292,7 +275,6 @@ bool StorageServer::launch_or_reject(sched::RequestId id, const std::shared_ptr<
       std::lock_guard lock(mu_);
       ++stats_.pool_rejections;
     }
-    if (obs::metrics_enabled()) obs::count(obs_name_ + ".pool_rejections");
     ActiveIoResponse resp;
     resp.outcome = ActiveOutcome::kFailed;
     resp.status =
@@ -320,13 +302,11 @@ std::optional<ActiveIoResponse> StorageServer::cache_lookup(const ActiveIoReques
     result_cache_.erase(it);
     ++stats_.cache_invalidations;
     ++stats_.cache_misses;
-    if (obs::metrics_enabled()) obs::count("arena.cache_invalidations");
     return std::nullopt;
   }
   it->second.last_use = ++cache_tick_;
   ++stats_.cache_hits;
   ++stats_.active_completed;
-  if (obs::metrics_enabled()) obs::count("arena.cache_hits");
   ActiveIoResponse resp;
   resp.outcome = ActiveOutcome::kCompleted;
   resp.result = it->second.result;  // another view of the cached slab: no copy
@@ -346,7 +326,6 @@ void StorageServer::cache_insert(const ActiveIoRequest& request, std::uint64_t v
     }
     result_cache_.erase(victim);
     ++stats_.cache_evictions;
-    if (obs::metrics_enabled()) obs::count("arena.cache_evictions");
   }
   // The entry shares the response's slab (ref-counted view): inserting is
   // free, and the slab lives as long as any hit still holds a view.
@@ -389,7 +368,6 @@ void StorageServer::admit(std::span<ActiveIoRequest> requests, std::span<ActiveC
       }
       if (dones[i]) dones[i](crashed_response(server_id_));
     } else if (auto cached = cache_lookup(requests[i])) {
-      if (obs::metrics_enabled()) obs::count(obs_name_ + ".completed");
       if (dones[i]) dones[i](std::move(*cached));
     } else {
       entries[i] = coalesce_or_register(requests[i], dones[i], tickets[i]);
@@ -421,10 +399,8 @@ bool StorageServer::cancel_active(const ActiveTicket& ticket, const Status& reas
       // both a timeout and a failure for this waiter.
       ++stats_.active_timed_out;
       ++stats_.active_failed;
-      if (obs::metrics_enabled()) obs::count(obs_name_ + ".timed_out");
     } else {
       ++stats_.active_cancelled;
-      if (obs::metrics_enabled()) obs::count(obs_name_ + ".cancelled");
     }
     obs::flight_record(obs::FlightEventKind::kCancel, entry->request.trace.trace_id,
                        server_id_, ticket.id,
@@ -448,7 +424,6 @@ void StorageServer::probe() {
     std::lock_guard lock(mu_);
     status = snapshot_status_locked();
   }
-  if (obs::metrics_enabled()) obs::count(obs_name_ + ".probes");
   ce_.observe(status);
   evaluate_policy();
 }
@@ -576,7 +551,6 @@ void StorageServer::evaluate_policy() {
         if (static_cast<double>(remaining) >
             config_.interrupt_min_remaining * static_cast<double>(total)) {
           entry.interrupt.store(true);
-          if (obs::metrics_enabled()) obs::count(obs_name_ + ".interrupts_signalled");
           obs::flight_record(obs::FlightEventKind::kInterrupt, entry.request.trace.trace_id,
                              server_id_, requests[i].id, "running kernel interrupt signalled");
           if (obs::tracing_enabled() && entry.request.trace.valid()) {
@@ -793,7 +767,6 @@ void StorageServer::run_kernel(sched::RequestId id) {
           std::lock_guard lock(mu_);
           ++stats_.kernel_exceptions;
         }
-        if (obs_on) obs::count(obs_name_ + ".kernel_exceptions");
         resp.outcome = ActiveOutcome::kFailed;
         resp.status = error(ErrorCode::kInternal, std::string("kernel threw: ") + e.what());
         done_bytes = 0;
@@ -802,7 +775,6 @@ void StorageServer::run_kernel(sched::RequestId id) {
           std::lock_guard lock(mu_);
           ++stats_.kernel_exceptions;
         }
-        if (obs_on) obs::count(obs_name_ + ".kernel_exceptions");
         resp.outcome = ActiveOutcome::kFailed;
         resp.status = error(ErrorCode::kInternal, "kernel threw a non-std exception");
         done_bytes = 0;

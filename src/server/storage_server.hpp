@@ -250,7 +250,7 @@ class StorageServer {
   void complete_entry(sched::RequestId id, const std::shared_ptr<Entry>& entry,
                       ActiveIoResponse response, Bytes processed);
 
-  /// Count one waiter's outcome into stats_/obs; caller holds mu_.
+  /// Count one waiter's outcome into stats_; caller holds mu_.
   void count_outcome_locked(const ActiveIoResponse& response);
 
   /// Result-cache lookup; nullopt on miss/disabled/stale. Updates stats

@@ -13,7 +13,6 @@
 #include "kernels/gaussian2d.hpp"
 #include "kernels/histogram.hpp"
 #include "kernels/sum.hpp"
-#include "obs/metrics.hpp"
 #include "rpc/inprocess.hpp"
 #include "server/storage_server.hpp"
 
@@ -404,14 +403,8 @@ TEST(Resumption, RefusedCheckpointRestartsTheClientCleanly) {
   const auto registry = kernels::Registry::with_builtins();
   client::ActiveClient asc(client, registry, {&server});
 
-  auto& metrics = obs::MetricsRegistry::global();
-  const bool metrics_were_on = obs::metrics_enabled();
-  metrics.set_enabled(true);
-  const auto restarts_before = metrics.counter("client.ckpt_corrupt_restarts").value();
   const std::string op = "histogram:bins=16,lo=0,hi=1";
   auto out = asc.read_ex(meta.value(), 0, meta.value().size, op);
-  const auto restarts = metrics.counter("client.ckpt_corrupt_restarts").value() - restarts_before;
-  metrics.set_enabled(metrics_were_on);
 
   ASSERT_TRUE(out.is_ok()) << out.status().to_string();
   auto all = fs.data_server(0).read_object(meta.value().handle, 0, meta.value().size);
@@ -423,7 +416,6 @@ TEST(Resumption, RefusedCheckpointRestartsTheClientCleanly) {
   EXPECT_EQ(out.value(), ref.value()->finalize());
   EXPECT_EQ(asc.stats().resumed_local, 1u);
   EXPECT_EQ(asc.stats().checkpoint_corrupt_restarts, 1u);
-  EXPECT_EQ(restarts, 1u);
 }
 
 TEST(Resumption, ClientResubmitPathProducesExactResults) {

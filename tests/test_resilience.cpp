@@ -302,9 +302,9 @@ TEST(FaultE2E, TransientNetErrorsRecoverViaRetryWithBackoff) {
     expect_sum_ok(cluster->asc().read_ex(meta.value(), 0, meta.value().size, "sum"), kCount);
   }
 
-  const auto cs = cluster->asc().stats();
-  EXPECT_GT(cs.remote_retries, 0u);
-  EXPECT_GT(cs.backoff_total, 0.0);  // accounted, not slept (virtual mode)
+  const auto ts = cluster->asc().transport_stats();
+  EXPECT_GT(ts.retries, 0u);
+  EXPECT_GT(ts.backoff_total, 0.0);  // accounted, not slept (virtual mode)
   EXPECT_GT(cluster->fault_injector()->stats().net_errors, 0u);
 }
 
@@ -320,10 +320,10 @@ TEST(FaultE2E, ExhaustedRetriesFallBackLocallyThenFailTyped) {
   ASSERT_TRUE(meta.is_ok());
 
   expect_sum_ok(cluster->asc().read_ex(meta.value(), 0, meta.value().size, "sum"), kCount);
-  auto cs = cluster->asc().stats();
-  EXPECT_EQ(cs.remote_retries, 2u);       // attempts 2 and 3
-  EXPECT_EQ(cs.exhausted_retries, 1u);
-  EXPECT_EQ(cs.failed_remote_retries, 1u);
+  const auto ts = cluster->asc().transport_stats();
+  EXPECT_EQ(ts.retries, 2u);  // attempts 2 and 3
+  EXPECT_EQ(ts.retries_exhausted, 1u);
+  EXPECT_EQ(cluster->asc().stats().failed_remote_retries, 1u);
 
   cluster->fs().data_server(0).fail_next_reads(1000);
   auto out = cluster->asc().read_ex(meta.value(), 0, meta.value().size, "sum");

@@ -7,7 +7,9 @@
 # file; `path/name` without an extension is accepted if `name.cpp`/`name.hpp`
 # exists there (binary-style references like examples/quickstart). Globs
 # (src/core/sim_model.*) are expanded. Also checks that every `bench_*` /
-# `test_*` binary name mentioned in docs has a matching source file.
+# `test_*` binary name mentioned in docs has a matching source file, and
+# that docs/OBSERVABILITY.md has one table row per field of each counter
+# struct (StorageServer::Stats, ActiveClient::Stats, ...) and no other.
 #
 # Usage: tools/check_docs.sh [repo-root]   (exit 0 = clean, 1 = dangling)
 set -u
@@ -71,30 +73,58 @@ if [ -f docs/OBSERVABILITY.md ]; then
       fail=1
     fi
   done
-  # Hedging telemetry: the straggler signal and the hedge counters that
-  # tests/dst/test_straggler.cpp asserts on must stay in the catalog.
-  for token in 'rpc.node_latency_us' 'client.hedges_fired' \
-               'client.hedges_won' 'client.hedges_wasted'; do
-    if ! grep -q "$token" docs/OBSERVABILITY.md; then
-      echo "undocumented hedging metric: '$token' (docs/OBSERVABILITY.md)" >&2
-      fail=1
-    fi
-  done
-  # Data-plane telemetry: the ring/arena contention gauges, the zero-copy
-  # ledger, and the per-request bench metrics the regression gate reads.
-  for token in 'ring.cas_retries.push' 'ring.cas_retries.pop' \
-               'ring.lock_fast' 'ring.lock_contended' 'ring.spsc' \
-               'arena.slabs_in_use' 'arena.slabs_recycled' \
-               'arena.cache_hits' 'arena.cache_evictions' \
-               'arena.cache_invalidations' \
-               'data.bytes_copied' 'data.bytes_copied.<site>' \
-               'bytes_copied_per_req' 'cas_retries_per_req' \
+  # The straggler signal tests/dst/test_straggler.cpp asserts on, and the
+  # per-request BENCH_*.json metrics tools/check_bench_json.sh requires,
+  # must stay in the catalog.
+  for token in 'rpc.node_latency_us' 'bytes_copied_per_req' 'cas_retries_per_req' \
                'write_bytes_copied_per_req' 'cache_hit_bytes_copied_per_req'; do
     if ! grep -q "$token" docs/OBSERVABILITY.md; then
-      echo "undocumented data-plane metric: '$token' (docs/OBSERVABILITY.md)" >&2
+      echo "undocumented metric: '$token' (docs/OBSERVABILITY.md)" >&2
       fail=1
     fi
   done
+
+  # Counters: each field of these Stats structs has a row in the table
+  # under the OBSERVABILITY heading that names the struct, and each row
+  # there names a field. Fields are the direct data members of the struct
+  # declaration (member functions and their bodies are skipped).
+  while read -r label header struct; do
+    fields=$(awk -v name="$struct" '
+      !on && $0 ~ ("^ *struct " name " [{]") { on = 1; depth = 1; next }
+      on {
+        if (depth == 1 && $0 ~ /^ *[A-Za-z_][A-Za-z0-9_:<>]* +[a-z_][a-z0-9_]* *[=;]/) {
+          f = $2; sub(/[=;].*/, "", f); print f
+        }
+        depth += gsub(/[{]/, "{") - gsub(/[}]/, "}")
+        if (depth == 0) exit
+      }' "$header")
+    rows=$(awk -v label="\`$label\`" '
+      /^#/ { on = index($0, label) > 0; next }
+      on && /^[|] `/ { split($0, cell, "`"); print cell[2] }' docs/OBSERVABILITY.md)
+    if [ -z "$fields" ]; then
+      echo "no fields read for '$label' from $header" >&2
+      fail=1
+    fi
+    for f in $fields; do
+      if ! grep -qx "$f" <<< "$rows"; then
+        echo "undocumented counter: '$label::$f' (docs/OBSERVABILITY.md)" >&2
+        fail=1
+      fi
+    done
+    for r in $rows; do
+      if ! grep -qx "$r" <<< "$fields"; then
+        echo "documented counter '$label::$r' is not a field of $header" >&2
+        fail=1
+      fi
+    done
+  done <<'STRUCTS'
+StorageServer::Stats src/server/storage_server.hpp Stats
+ActiveClient::Stats src/client/active_client.hpp Stats
+FaultInjector::Stats src/fault/fault.hpp Stats
+rpc::TransportStats src/rpc/transport.hpp TransportStats
+RingStats src/common/ring.hpp RingStats
+BufferArena::Stats src/common/arena.hpp Stats
+STRUCTS
 fi
 
 # The hedging design note must keep naming its load-bearing knobs, and

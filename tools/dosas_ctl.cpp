@@ -336,29 +336,32 @@ int cmd_runtime(const Args& args) {
   }
   table.print(std::cout);
 
-  Table servers({"server", "completed", "demoted", "interrupted", "failed", "normal I/O"});
+  Table servers({"server", "completed", "demoted", "interrupted", "failed", "coalesced",
+                 "timed out", "cancelled", "cache hits", "normal I/O"});
   for (std::uint32_t s = 0; s < cluster.storage_node_count(); ++s) {
     const auto st = cluster.storage_server(s).stats();
     servers.add_row({std::to_string(s), std::to_string(st.active_completed),
                      std::to_string(st.active_rejected), std::to_string(st.active_interrupted),
-                     std::to_string(st.active_failed), std::to_string(st.normal_requests)});
+                     std::to_string(st.active_failed), std::to_string(st.active_coalesced),
+                     std::to_string(st.active_timed_out), std::to_string(st.active_cancelled),
+                     std::to_string(st.cache_hits), std::to_string(st.normal_requests)});
   }
   std::printf("\n");
   servers.print(std::cout);
 
   const auto cst = cluster.asc().stats();
+  const auto tst = cluster.asc().transport_stats();
   std::printf(
       "\nclient recovery: %llu remote retries (%llu exhausted), %llu timed out,\n"
       "  %llu demoted, %llu resumed, %llu node-down demotes, %llu checkpoint restarts,\n"
       "  %.3f s accrued backoff\n",
-      static_cast<unsigned long long>(cst.remote_retries),
-      static_cast<unsigned long long>(cst.exhausted_retries),
+      static_cast<unsigned long long>(tst.retries),
+      static_cast<unsigned long long>(tst.retries_exhausted),
       static_cast<unsigned long long>(cst.timed_out),
       static_cast<unsigned long long>(cst.demoted),
       static_cast<unsigned long long>(cst.resumed_local),
       static_cast<unsigned long long>(cst.node_down_demotes),
-      static_cast<unsigned long long>(cst.checkpoint_corrupt_restarts), cst.backoff_total);
-  const auto tst = cluster.asc().transport_stats();
+      static_cast<unsigned long long>(cst.checkpoint_corrupt_restarts), tst.backoff_total);
   std::printf(
       "transport: %llu submitted, %llu completed, %llu cancelled, %llu timed out,\n"
       "  %llu batched (%llu coalesced), in-flight hwm %llu, "
@@ -400,9 +403,7 @@ int cmd_runtime(const Args& args) {
     }
     RingStats rings{};
     for (std::uint32_t s = 0; s < cluster.storage_node_count(); ++s) {
-      const auto r = cluster.storage_server(s).dispatch_ring_stats();
-      rings.push_cas_retries += r.push_cas_retries;
-      rings.pop_cas_retries += r.pop_cas_retries;
+      rings += cluster.storage_server(s).dispatch_ring_stats();
     }
     std::printf(
         "\n  object versions: %llu slab(s) created, %llu recycled, %llu live "
