@@ -216,7 +216,7 @@ BENCHMARK(BM_SumKernelConsumeMisaligned);
 
 void BM_MinMaxKernelConsume(benchmark::State& state) {
   // Arg 0: random values, where new extremes are rare and almost every
-  // 8-item block passes the vector check untouched. Arg 1: strictly
+  // 64-item block passes the vector check untouched. Arg 1: strictly
   // descending values, the worst case — every block moves the minimum and
   // pays the check plus the ordered updates.
   const bool descending = state.range(0) == 1;

@@ -59,8 +59,7 @@ Bytes ByteGrepKernel::result_size(Bytes input) const {
 }
 
 Result<ByteGrepResult> ByteGrepResult::decode(std::span<const std::uint8_t> bytes) {
-  std::vector<std::uint8_t> buf(bytes.begin(), bytes.end());
-  ByteReader r(buf);
+  ByteReader r(bytes);
   ByteGrepResult out;
   if (!r.get_u64(out.matches) || !r.get_u64(out.scanned) || !r.exhausted()) {
     return error(ErrorCode::kInvalidArgument, "bytegrep: bad result payload");

@@ -148,8 +148,7 @@ void Gaussian2dKernel::fields(Fields& f) {
 }
 
 Result<GaussianDigest> GaussianDigest::decode(std::span<const std::uint8_t> bytes) {
-  std::vector<std::uint8_t> buf(bytes.begin(), bytes.end());
-  ByteReader r(buf);
+  ByteReader r(bytes);
   GaussianDigest out;
   if (!r.get_u64(out.rows) || !r.get_u64(out.count) || !r.get_f64(out.sum) ||
       !r.get_f64(out.min) || !r.get_f64(out.max) || !r.exhausted()) {

@@ -26,8 +26,7 @@ Result<std::unique_ptr<Kernel>> HistogramKernel::from_spec(const OperationSpec& 
 }
 
 Result<HistogramResult> HistogramResult::decode(std::span<const std::uint8_t> bytes) {
-  std::vector<std::uint8_t> buf(bytes.begin(), bytes.end());
-  ByteReader r(buf);
+  ByteReader r(bytes);
   HistogramResult out;
   std::uint32_t bins = 0;
   if (!r.get_u32(bins) || !r.get_f64(out.lo) || !r.get_f64(out.hi) || !r.get_u64(out.below) ||

@@ -3,8 +3,7 @@
 namespace dosas::kernels {
 
 Result<MeanStddevResult> MeanStddevResult::decode(std::span<const std::uint8_t> bytes) {
-  std::vector<std::uint8_t> buf(bytes.begin(), bytes.end());
-  ByteReader r(buf);
+  ByteReader r(bytes);
   MeanStddevResult out;
   if (!r.get_u64(out.count) || !r.get_f64(out.mean) || !r.get_f64(out.m2) || !r.exhausted()) {
     return error(ErrorCode::kInvalidArgument, "meanstddev: bad result payload");

@@ -1,25 +1,44 @@
 #include "kernels/minmax.hpp"
 
+#include <cstring>
+
 namespace dosas::kernels {
 
 namespace {
 
-constexpr std::size_t kBlock = 8;
+constexpr std::size_t kBlock = 64;
+
+// Two adjacent items in one SSE2 register (GCC/Clang vector extension).
+using Pair = double __attribute__((vector_size(2 * sizeof(double))));
+
+Pair load(const double* p) {
+  Pair v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
 
 /// Whether any of the kBlock values at `p` lies strictly beyond [lo, hi].
-/// Two independent lanes per bound, so the compiler can keep them in one
-/// vector register; a lane starts at the bound and only ever takes a
+/// Four independent 2-lane accumulators per bound, so no compare waits on
+/// the one before it; a lane starts at the bound and only ever takes a
 /// value that compares beyond it, so a NaN never enters a lane.
 bool block_beyond(const double* p, double lo, double hi) {
-  double l[2] = {lo, lo};
-  double h[2] = {hi, hi};
-  for (std::size_t j = 0; j < kBlock; j += 2) {
-    for (std::size_t k = 0; k < 2; ++k) {
-      l[k] = p[j + k] < l[k] ? p[j + k] : l[k];
-      h[k] = p[j + k] > h[k] ? p[j + k] : h[k];
-    }
+  const Pair lo2 = {lo, lo}, hi2 = {hi, hi};
+  Pair l0 = lo2, l1 = lo2, l2 = lo2, l3 = lo2;
+  Pair h0 = hi2, h1 = hi2, h2 = hi2, h3 = hi2;
+  const auto step = [](Pair& l, Pair& h, const double* q) {
+    const Pair v = load(q);
+    l = v < l ? v : l;
+    h = v > h ? v : h;
+  };
+  for (const double* end = p + kBlock; p != end; p += 8) {
+    step(l0, h0, p);
+    step(l1, h1, p + 2);
+    step(l2, h2, p + 4);
+    step(l3, h3, p + 6);
   }
-  return (l[0] < lo) | (l[1] < lo) | (h[0] > hi) | (h[1] > hi);
+  const auto beyond = (l0 < lo2) | (l1 < lo2) | (l2 < lo2) | (l3 < lo2) | (h0 > hi2) |
+                      (h1 > hi2) | (h2 > hi2) | (h3 > hi2);
+  return (beyond[0] | beyond[1]) != 0;
 }
 
 /// The ordered updates that define the result.
@@ -49,8 +68,7 @@ void MinMaxKernel::process_items(std::span<const double> items) {
 }
 
 Result<MinMaxResult> MinMaxResult::decode(std::span<const std::uint8_t> bytes) {
-  std::vector<std::uint8_t> buf(bytes.begin(), bytes.end());
-  ByteReader r(buf);
+  ByteReader r(bytes);
   MinMaxResult out;
   if (!r.get_u64(out.count) || !r.get_f64(out.min) || !r.get_f64(out.max) || !r.exhausted()) {
     return error(ErrorCode::kInvalidArgument, "minmax: bad result payload");

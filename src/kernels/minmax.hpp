@@ -8,10 +8,11 @@
 // if (v > max) max = v;` — a NaN first item sticks, later NaNs are
 // ignored, and of two equal values (+0/-0) the first one stays. Most
 // blocks of input cannot change either extreme, so process_items checks
-// each block of 8 with vector-friendly compares first and runs the
-// ordered updates only on a block holding a value strictly beyond the
-// current min or max (NaN never is). Skipping the ordered updates on any
-// other block changes nothing, so the result stays bit-exact.
+// each block of 64 items first, with vector compares into four
+// independent 2-lane accumulators per bound, and runs the ordered updates
+// only on a block holding a value strictly beyond the current min or max
+// (NaN never is). Skipping the ordered updates on any other block changes
+// nothing, so the result stays bit-exact.
 #pragma once
 
 #include "kernels/kernel.hpp"

@@ -90,8 +90,7 @@ Status ReservoirKernel::merge(std::span<const std::uint8_t> other_result) {
 }
 
 Result<ReservoirResult> ReservoirResult::decode(std::span<const std::uint8_t> bytes) {
-  std::vector<std::uint8_t> buf(bytes.begin(), bytes.end());
-  ByteReader r(buf);
+  ByteReader r(bytes);
   ReservoirResult out;
   std::uint32_t n = 0;
   if (!r.get_u64(out.count) || !r.get_u64(out.seed) || !r.get_u32(n)) {

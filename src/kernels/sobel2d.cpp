@@ -71,8 +71,7 @@ Bytes Sobel2dKernel::result_size(Bytes input) const {
 }
 
 Result<SobelDigest> SobelDigest::decode(std::span<const std::uint8_t> bytes) {
-  std::vector<std::uint8_t> buf(bytes.begin(), bytes.end());
-  ByteReader r(buf);
+  ByteReader r(bytes);
   SobelDigest out;
   if (!r.get_u64(out.rows) || !r.get_u64(out.count) || !r.get_u64(out.edges) ||
       !r.get_f64(out.max_magnitude) || !r.get_f64(out.mean_magnitude) || !r.exhausted()) {

@@ -8,8 +8,7 @@ Result<std::unique_ptr<Kernel>> ThresholdCountKernel::from_spec(const OperationS
 }
 
 Result<ThresholdCountResult> ThresholdCountResult::decode(std::span<const std::uint8_t> bytes) {
-  std::vector<std::uint8_t> buf(bytes.begin(), bytes.end());
-  ByteReader r(buf);
+  ByteReader r(bytes);
   ThresholdCountResult out;
   if (!r.get_u64(out.count) || !r.get_u64(out.matches) || !r.get_f64(out.threshold) ||
       !r.exhausted()) {

@@ -54,8 +54,7 @@ Status TopKKernel::merge(std::span<const std::uint8_t> other_result) {
 }
 
 Result<TopKResult> TopKResult::decode(std::span<const std::uint8_t> bytes) {
-  std::vector<std::uint8_t> buf(bytes.begin(), bytes.end());
-  ByteReader r(buf);
+  ByteReader r(bytes);
   TopKResult out;
   std::uint32_t n = 0;
   if (!r.get_u64(out.count) || !r.get_u32(n)) {

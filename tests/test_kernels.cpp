@@ -40,6 +40,12 @@ std::vector<double> random_doubles(std::size_t n, std::uint64_t seed = 1) {
   return out;
 }
 
+std::uint64_t bits(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
 /// Feed `bytes` to `kernel` in chunks whose sizes are drawn from `rng`,
 /// deliberately misaligned with the 8-byte item size.
 void consume_ragged(Kernel& kernel, const std::vector<std::uint8_t>& bytes, Rng& rng) {
@@ -125,8 +131,39 @@ TEST(SumKernel, RaggedChunksMatchWholeBuffer) {
   ASSERT_TRUE(a.is_ok());
   ASSERT_TRUE(b.is_ok());
   EXPECT_EQ(a.value().count, b.value().count);
-  EXPECT_DOUBLE_EQ(a.value().sum, b.value().sum);
+  EXPECT_EQ(bits(a.value().sum), bits(b.value().sum));
   EXPECT_EQ(ragged.consumed(), bytes.size());
+}
+
+/// The documented lane order (sum.hpp), as a reference: item i into lane
+/// i mod 8, the lanes folded pairwise.
+double lane_sum(const std::vector<double>& values) {
+  double l[8] = {};
+  for (std::size_t i = 0; i < values.size(); ++i) l[i % 8] += values[i];
+  return ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
+}
+
+/// Random values with 1e16 spikes, whose ulp (2) swallows the low bits of
+/// whatever partial sum they join: the rounding depends on the order.
+std::vector<double> spiky_doubles(std::size_t n, std::uint64_t seed) {
+  auto values = random_doubles(n, seed);
+  for (std::size_t i = 3; i < n; i += 101) values[i] = 1e16;
+  return values;
+}
+
+TEST(SumKernel, MatchesDocumentedLaneOrderBitForBit) {
+  const auto values = spiky_doubles(10'001, 7);
+  const double want = lane_sum(values);
+  const double serial = std::accumulate(values.begin(), values.end(), 0.0);
+  ASSERT_NE(bits(serial), bits(want)) << "the input does not tell the orders apart";
+
+  SumKernel k;
+  k.reset();
+  k.consume(doubles_to_bytes(values));
+  const auto got = SumResult::decode(k.finalize());
+  ASSERT_TRUE(got.is_ok());
+  EXPECT_EQ(got.value().count, values.size());
+  EXPECT_EQ(bits(got.value().sum), bits(want)) << got.value().sum << " vs " << want;
 }
 
 TEST(SumKernel, ResultSizeIsConstant) {
@@ -286,12 +323,6 @@ MinMaxResult serial_minmax(const std::vector<double>& values) {
   return r;
 }
 
-std::uint64_t bits(double v) {
-  std::uint64_t b;
-  std::memcpy(&b, &v, sizeof b);
-  return b;
-}
-
 /// The kernel's result for `values`, fed whole, in ragged chunks, and
 /// across a checkpoint/restore, must equal the ordered loop bit for bit.
 void expect_bit_exact(const std::vector<double>& values, const std::string& label) {
@@ -331,7 +362,7 @@ void expect_bit_exact(const std::vector<double>& values, const std::string& labe
 TEST(MinMaxKernel, BlockCheckedLoopIsBitExactWithOrderedLoop) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  const std::size_t n = 1000;  // many 8-item blocks plus a remainder
+  const std::size_t n = 1000;  // many 64-item blocks plus a remainder
 
   expect_bit_exact(random_doubles(n, 31), "random");
 
@@ -379,7 +410,27 @@ TEST(MinMaxKernel, BlockCheckedLoopIsBitExactWithOrderedLoop) {
   expect_bit_exact(descending, "strictly descending");
   expect_bit_exact(ascending, "strictly ascending");
 
-  for (std::size_t len : {1u, 7u, 8u, 9u, 16u, 17u}) {
+  // A NaN first in a 64-item block, then new extremes in its accumulator
+  // lane and in the other lane of that accumulator.
+  auto nan_block = random_doubles(n, 36);
+  nan_block[128] = nan;
+  nan_block[129] = 1000.0;
+  nan_block[136] = -1000.0;
+  expect_bit_exact(nan_block, "NaN first in a block");
+
+  // The only value beyond the range, at each position of a 64-item block
+  // that a different accumulator lane checks (0-7), and at its last (63):
+  // a block check that leaves one accumulator out of its mask misses it.
+  for (std::size_t pos : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 63u}) {
+    for (const double beyond : {-1000.0, 1000.0}) {
+      std::vector<double> values(3 * 64 + 5);
+      for (std::size_t i = 0; i < values.size(); ++i) values[i] = static_cast<double>(i % 10) - 5;
+      values[64 + pos] = beyond;
+      expect_bit_exact(values, "only " + std::to_string(beyond) + " at " + std::to_string(pos));
+    }
+  }
+
+  for (std::size_t len : {1u, 7u, 8u, 9u, 16u, 17u, 63u, 64u, 65u, 128u, 129u}) {
     expect_bit_exact(random_doubles(len, 35 + len), "short " + std::to_string(len));
   }
 }
@@ -595,9 +646,13 @@ TEST(Gaussian2d, FewerThanThreeRowsProducesNothing) {
 TEST(CheckpointEncoding, SumAndGaussianMatchRecordedDigests) {
   // sum and gaussian2d are the checkpoints the paced scenarios (perfbench's
   // contend, bench_scale, the DST suite) ship over the link model, so their
-  // encoded size feeds virtual time: the encodings must not change. Pinned
-  // as the FNV-1a 64 of each encoded checkpoint, at cuts mid-item and
-  // mid-row, in both gaussian2d modes.
+  // encoded size feeds virtual time: an encoding may change only on
+  // purpose. Pinned as the FNV-1a 64 of each encoded checkpoint, at cuts
+  // mid-item and mid-row, in both gaussian2d modes. sum's checkpoint
+  // carries its eight lanes (sum.hpp), 62 bytes more than one f64 sum:
+  // about 0.5 us of link time per handed-back sum at 118 MB/s, which buys
+  // a sum whose bits depend only on its leg's bytes, and a kernel that
+  // sums at memory speed.
   const auto fnv = [](const std::vector<std::uint8_t>& bytes) {
     std::uint64_t h = 0xcbf29ce484222325ULL;
     for (std::uint8_t b : bytes) h = (h ^ b) * 0x100000001b3ULL;
@@ -624,7 +679,7 @@ TEST(CheckpointEncoding, SumAndGaussianMatchRecordedDigests) {
     }
   }
   EXPECT_EQ(got.str(),
-            "46bf9384166ddf39 e3d0fddda426a3f6 26d81343de81b904 9cfa3ba09aa1017c "  // sum
+            "55544a00fc77a35c 2b932c3935bf7a88 28c9be3dd533d39 3d6fb551dd83e77 "  // sum
             "19b711749ecfe606 824da58b2c87b95a 466ab99eedc119e8 57e3c5f3847641e2 "  // digest
             "113c2cb9a9e76f81 d2a32e9d362033a7 b6394d66192a8de7 f653253c3e958e1e ");  // full
 }
@@ -777,6 +832,51 @@ TEST_P(GaussianCutProperty, AnyCutPointResumesExactly) {
 INSTANTIATE_TEST_SUITE_P(CutPoints, GaussianCutProperty,
                          ::testing::Values(0u, 1u, 7u, 8u, 63u, 64u, 65u, 100u, 512u, 511u,
                                            640u, 767u, 768u, 5000u));
+
+// A sum is a function of the stream's bytes: resumed on a fresh kernel from
+// a checkpoint taken at any cut (mid-item included), fed in ragged chunks,
+// or staged from a misaligned base, it has the same bits.
+class SumCutProperty : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(SumCutProperty, AnyCutPointResumesExactly) {
+  const auto bytes = doubles_to_bytes(spiky_doubles(1003, 125));
+  const std::size_t cut = std::min(GetParam(), bytes.size());
+  const std::span<const std::uint8_t> all(bytes);
+
+  SumKernel ref;
+  ref.reset();
+  ref.consume(all);
+  const auto want = ref.finalize();
+
+  SumKernel first;
+  first.reset();
+  first.consume(all.first(cut));
+  auto decoded = Checkpoint::decode(first.checkpoint().encode());
+  ASSERT_TRUE(decoded.is_ok());
+  SumKernel second;
+  ASSERT_TRUE(second.restore(decoded.value()).is_ok());
+  second.consume(all.subspan(cut));
+  EXPECT_EQ(second.finalize(), want) << "resumed";
+
+  SumKernel ragged;
+  ragged.reset();
+  Rng rng(cut + 1);
+  consume_ragged(ragged, bytes, rng);
+  EXPECT_EQ(ragged.finalize(), want) << "ragged";
+
+  std::vector<std::uint8_t> backing(bytes.size() + 1);
+  std::memcpy(backing.data() + 1, bytes.data(), bytes.size());
+  const std::span<const std::uint8_t> shifted(backing.data() + 1, bytes.size());
+  SumKernel staged;
+  staged.reset();
+  staged.consume(shifted.first(cut));
+  staged.consume(shifted.subspan(cut));
+  EXPECT_EQ(staged.finalize(), want) << "misaligned";
+}
+
+INSTANTIATE_TEST_SUITE_P(CutPoints, SumCutProperty,
+                         ::testing::Values(0u, 1u, 7u, 8u, 13u, 63u, 64u, 65u, 100u, 511u, 512u,
+                                           517u, 4001u, 8024u));
 
 // ---------------------------------------------------------------- bytegrep
 

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # check_contend_digests.sh — the contend workload of the repository
 # benchmark (perfbench/) runs the paper's scenario under a VirtualClock, so
-# the fingerprint digest it prints for a seed — every completion time and
-# counter of every run — is exact. This script runs the workload for seeds
-# 1, 2 and 3 and fails when any digest differs from the recorded one: a
-# change that moves one handed-back request's virtual timeline shows here.
+# the fingerprint digest it prints for a seed — every completion time,
+# counter and result of every run — is exact. This script runs the
+# workload for seeds 1, 2 and 3 and fails when any digest differs from the
+# recorded one: a change that moves one handed-back request's virtual
+# timeline shows here, and so does one that changes a kernel's result
+# bits (a sum's lane order, say) with the timeline unchanged.
 #
 # Usage: tools/check_contend_digests.sh
 #   (builds .bench_build/perfbench on first use, like perfbench/run.py)
@@ -13,9 +15,9 @@ set -u
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
 expected=(
-  "1 2bd65d60a6edd55f"
-  "2 337f8aa21faebc74"
-  "3 c789ff6e6f3e018f"
+  "1 5e08a614ecbc871d"
+  "2 80330fb869341203"
+  "3 3edc17432603bb95"
 )
 
 fail=0
